@@ -241,7 +241,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     if max_order is None:
         max_order = DEFAULT_MAX_GROUP_ORDER
     try:
-        return args.func(args, max_order)
+        code = args.func(args, max_order)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); point it at devnull so
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,8 @@ class HasseEdge:
 class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion, with Moebius values.
 
-    ``nodes`` is canonically ordered by (order, element set); ``leq[i][j]``
+    ``nodes`` is canonically ordered by (order, element set); ``node_class[i]``
+    is the index in ``classes`` of nodes[i]'s conjugacy class; ``leq[i][j]``
     says nodes[i] <= nodes[j]; ``mobius[i][j]`` is mu(nodes[i], nodes[j]) and
     None where the pair is incomparable.
     """
@@ -40,6 +41,11 @@ class SubgroupLattice:
         self.nodes = tuple(nodes)
         self.classes = tuple(classes)
         self._node_index = {sub: i for i, sub in enumerate(self.nodes)}
+        node_class = [0] * len(self.nodes)
+        for ci, cls in enumerate(self.classes):
+            for member in cls.members:
+                node_class[self.index_of(member)] = ci
+        self.node_class = tuple(node_class)
         n = len(self.nodes)
         self.leq = [[nodes[i].is_subgroup_of(nodes[j]) for j in range(n)]
                     for i in range(n)]
@@ -76,10 +82,7 @@ class SubgroupLattice:
         return [self.nodes[j] for j in range(len(self.nodes)) if self.leq[i][j]]
 
     def class_of(self, sub: PermGroup) -> SubgroupClass:
-        for cls in self.classes:
-            if sub in cls.members:
-                return cls
-        raise ValueError("subgroup is not a node of this lattice")
+        return self.classes[self.node_class[self.index_of(sub)]]
 
     def covering_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) where nodes[j] covers nodes[i]."""
@@ -99,11 +102,7 @@ class SubgroupLattice:
         """Containment multiplicities for each covering pair of conjugacy
         classes, both directions (see :class:`HasseEdge`)."""
         covering = set(self.covering_pairs())
-        class_index = {}
-        for ci, cls in enumerate(self.classes):
-            for member in cls.members:
-                class_index[self.index_of(member)] = ci
-        seen_class_pairs = sorted({(class_index[i], class_index[j])
+        seen_class_pairs = sorted({(self.node_class[i], self.node_class[j])
                                    for i, j in covering})
         edges = []
         for ci, cj in seen_class_pairs:

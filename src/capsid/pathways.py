@@ -78,23 +78,13 @@ def pathway_size_distribution(group: PermGroup,
     leaf_count = group.degree
     if lat is None:
         lat = build_lattice(group, max_order)
-
-    # every subgroup acts simply as well, with leaf_count / |K| orbits
-    t_by_class: dict[PermGroup, int] = {}
-    for cls in lat.classes:
-        rep = cls.representative
-        if leaf_count % rep.order:
-            raise ArithmeticError(
-                "leaf count is not a multiple of a subgroup order; "
-                "the action cannot be simple")
-        t_by_class[rep] = series.fixed_tree_count(
-            rep, leaf_count // rep.order, max_order)
+    t_by_class = _fixed_counts_by_class(lat, leaf_count)
 
     def t_of(sub: PermGroup) -> int:
-        return t_by_class[lat.class_of(sub).representative]
+        return t_by_class[lat.node_class[lat.index_of(sub)]]
 
     rows = []
-    for cls in lat.classes:
+    for cls, fixed in zip(lat.classes, t_by_class):
         rep = cls.representative
         value = tbar(group, rep, t_of, lat)
         rows.append(SubgroupClassRow(
@@ -102,7 +92,7 @@ def pathway_size_distribution(group: PermGroup,
             order=rep.order,
             index=group.order // rep.order,
             class_size=cls.size,
-            fixed_count=t_by_class[rep],
+            fixed_count=fixed,
             exact_count=value,
         ))
     rows.sort(key=lambda r: (r.order, -r.class_size))
@@ -115,7 +105,7 @@ def pathway_size_distribution(group: PermGroup,
                 f"pathway count for size {m} is not integral ({total}/{m})")
         per_divisor[m] = total // m
 
-    total_trees = series.fixed_tree_count(lat.nodes[0], leaf_count)
+    total_trees = t_of(lat.nodes[0])
     weighted = sum(m * n for m, n in per_divisor.items())
     if weighted != total_trees:
         raise ArithmeticError(
@@ -136,15 +126,28 @@ def burnside_pathway_total(group: PermGroup,
     """Orbit count by averaging fixed-tree counts over the group: each
     element g fixes exactly t(<g>) trees, where <g> is the cyclic group it
     generates."""
-    leaf_count = group.degree
-    total = 0
-    for g in group.elements:
-        cyclic = close_generators([g], group.degree)
-        total += series.fixed_tree_count(cyclic, leaf_count // cyclic.order,
-                                         max_order)
+    lat = build_lattice(group, max_order)
+    t_by_class = _fixed_counts_by_class(lat, group.degree)
+    total = sum(t_by_class[lat.node_class[lat.index_of(
+                    close_generators([g], group.degree))]]
+                for g in group.elements)
     if total % group.order:
         raise ArithmeticError("Burnside average is not integral")
     return total // group.order
+
+
+def _fixed_counts_by_class(lat: SubgroupLattice, leaf_count: int) -> list[int]:
+    """t(H) for each class of ``lat``: every subgroup H of a simple action on
+    ``leaf_count`` points acts simply as well, with leaf_count / |H| orbits."""
+    orders = {}
+    for ci, cls in enumerate(lat.classes):
+        if leaf_count % cls.representative.order:
+            raise ArithmeticError(
+                "leaf count is not a multiple of a subgroup order; "
+                "the action cannot be simple")
+        orders[ci] = leaf_count // cls.representative.order
+    counts = series.class_tree_counts(lat, orders)
+    return [counts[ci][n] for ci, n in orders.items()]
 
 
 def _divisors(n: int) -> list[int]:

@@ -158,7 +158,7 @@ class PermGroup:
     cache derived data.  Use :func:`close_generators` to build one.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_eset", "_ekey", "_index",
+    __slots__ = ("degree", "generators", "elements", "_eset", "_index",
                  "_table", "_inverse", "_subgroups", "_classes", "_orbits")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -172,7 +172,6 @@ class PermGroup:
             if p.degree != degree:
                 raise ValueError("degree mismatch inside group")
         self._eset = frozenset(p.images for p in self.elements)
-        self._ekey: Optional[frozenset] = None
         self._index: Optional[dict] = None
         self._table: Optional[list] = None
         self._inverse: Optional[list] = None
@@ -193,9 +192,7 @@ class PermGroup:
     @property
     def element_key(self) -> frozenset:
         """Canonical identity of the subgroup: the frozenset of image tuples."""
-        if self._ekey is None:
-            self._ekey = self._eset
-        return self._ekey
+        return self._eset
 
     def __contains__(self, perm: Permutation) -> bool:
         return perm.degree == self.degree and perm.images in self._eset
@@ -585,81 +582,3 @@ def group_from_text(text: str) -> PermGroup:
     gens = [parse_permutation(ln, degree) for ln in lines[1:]]
     return close_generators(gens, degree)
 
-
-# -- isomorphism testing (used to share series between isomorphic groups) ----
-
-def group_fingerprint(group: PermGroup) -> tuple:
-    """Cheap isomorphism invariant: order, element-order multiset, and
-    subgroup-order multiset.  Equal fingerprints still require
-    :func:`find_isomorphism` to confirm."""
-    orders = tuple(sorted(p.order() for p in group.elements))
-    sub_orders = tuple(sorted(s.order for s in group.all_subgroups()))
-    return (group.order, orders, sub_orders)
-
-
-def find_isomorphism(g: PermGroup, h: PermGroup) -> Optional[dict]:
-    """A group isomorphism g -> h as a dict on elements, or None."""
-    if g.order != h.order:
-        return None
-    g_orders = sorted(p.order() for p in g.elements)
-    h_orders = sorted(p.order() for p in h.elements)
-    if g_orders != h_orders:
-        return None
-    n = g.order
-    if n == 1:
-        return {g.identity: h.identity}
-    tg, th = g._mul_table(), h._mul_table()
-
-    gens: list[int] = []
-    closed = frozenset({0})
-    for i in range(n):
-        if i not in closed:
-            gens.append(i)
-            closed = _close_indices(tg, tuple(gens))
-            if len(closed) == n:
-                break
-    ord_g = [p.order() for p in g.elements]
-    ord_h = [p.order() for p in h.elements]
-    candidates = [[j for j in range(n) if ord_h[j] == ord_g[i]] for i in gens]
-
-    def extend(images: list[int]) -> Optional[list[int]]:
-        phi = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gi, im in zip(gens, images):
-                    b = tg[a][gi]
-                    fb = th[phi[a]][im]
-                    if b in phi:
-                        if phi[b] != fb:
-                            return None
-                    else:
-                        phi[b] = fb
-                        nxt.append(b)
-            frontier = nxt
-        if len(set(phi.values())) != n:
-            return None
-        for a in range(n):
-            for gi, im in zip(gens, images):
-                if phi[tg[a][gi]] != th[phi[a]][im]:
-                    return None
-        return [phi[i] for i in range(n)]
-
-    def backtrack(k: int, images: list[int]) -> Optional[list[int]]:
-        if k == len(gens):
-            return extend(images)
-        for cand in candidates[k]:
-            result = backtrack(k + 1, images + [cand])
-            if result is not None:
-                return result
-        return None
-
-    mapping = backtrack(0, [])
-    if mapping is None:
-        return None
-    return {g.elements[i]: h.elements[mapping[i]] for i in range(n)}
-
-
-def is_isomorphic(g: PermGroup, h: PermGroup) -> bool:
-    return find_isomorphism(g, h) is not None

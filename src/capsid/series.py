@@ -1,9 +1,10 @@
-"""Exact truncated exponential generating functions and the functional
-equations counting fixed assembly trees.
+"""The functional equations counting fixed assembly trees, solved in
+integers, and exact truncated exponential generating functions.
 
-Everything here is Fraction arithmetic over Python's big integers; no
-floating point.  A series with coefficients c_0..c_N represents an EGF, so
-the count at index n is c_n * n!.
+The counts t_n(H) are integers and are computed as integers.  A series with
+coefficients c_0..c_N represents an EGF, so the count at index n is
+c_n * n!; Fractions appear only in :class:`PowerSeries`, which the wrappers
+build as t_n / n!, and in the residual check.  No floating point.
 
 The base equation, with f the EGF of all assembly-tree counts, is
 
@@ -13,19 +14,23 @@ and for a group G of order > 1 acting simply, with one summand per subgroup,
 
     1 + 2 f_G(x) = exp( sum over H <= G of f_H((G:H) x) / (G:H) ).
 
-Both are solved coefficient by coefficient: the unknown enters the right
-side linearly through the exponential's degree-one term, so each new
-coefficient is determined by lower-order data.
+Every subgroup of G is a node of G's subgroup lattice, and conjugate
+subgroups have equal counts, so the whole family is solved bottom-up over
+the lattice's conjugacy classes by one recurrence: the unknown enters the
+right side linearly through the exponential's degree-one term, so each new
+count is determined by lower-order data.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .perms import PermGroup, find_isomorphism, group_fingerprint
+from .lattice import SubgroupLattice, build_lattice
+from .perms import PermGroup, trivial_group
 
 
 @dataclass(frozen=True)
@@ -128,37 +133,88 @@ def _check_orders(a: PowerSeries, b: PowerSeries) -> None:
         raise ValueError("truncation orders differ")
 
 
-# -- the tree-count solvers --------------------------------------------------
+# -- the tree-count solver ---------------------------------------------------
 
-_BASE_CACHE: list[PowerSeries] = []
-# fingerprint -> list of (representative group, best series so far)
-_GROUP_CACHE: dict[tuple, list] = {}
+def class_tree_counts(lat: SubgroupLattice,
+                      orders: dict[int, int]) -> list[list[int]]:
+    """The integer counts t_0..t_N(H) for the conjugacy classes of ``lat``.
+
+    ``orders`` maps a class index to the order it needs.  Each class is
+    solved to the largest order that it or any class above it needs; the
+    result holds one count list per class, ``[0]`` for a class nothing
+    needs.  Conjugate subgroups share their counts, so one solve per class
+    in ``lat.classes`` order (smaller subgroups first) suffices.
+
+    For the class of H, with w_n = sum over nodes K < H of
+    t_n(K) * (H:K)**(n-1) and u = t + w, the equation for g = exp(u) read
+    through g' = u' g as a binomial convolution gives
+
+        t_n = [H = 1 and n = 1] + w_n + sum_{k=1}^{n-1} C(n-1, k-1) u_k g_{n-k}
+
+    with g_0 = 1 and g_n = 2 t_n - [H = 1 and n = 1].
+    """
+    classes = lat.classes
+    # below[c]: ((class of K, (H:K)), multiplicity) over the nodes K < H
+    below = []
+    for cls in classes:
+        h = lat.index_of(cls.representative)
+        below.append(list(Counter(
+            (lat.node_class[k], lat.nodes[h].order // lat.nodes[k].order)
+            for k in range(h) if lat.leq[k][h]).items()))
+    need = [0] * len(classes)
+    for c, order in orders.items():
+        need[c] = order
+    for c in reversed(range(len(classes))):
+        for (k, _), _ in below[c]:
+            need[k] = max(need[k], need[c])
+    trivial = lat.node_class[0]
+    t = [[0] * (n + 1) for n in need]
+    u = [[0] * (n + 1) for n in need]
+    g = [[1] + [0] * n for n in need]
+    row = [1]   # C(n-1, k-1) for k = 1..n
+    for n in range(1, max(need) + 1):
+        if n > 1:
+            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        for c in range(len(classes)):
+            if need[c] < n:
+                continue
+            tc, uc, gc = t[c], u[c], g[c]
+            w = sum(mult * t[k][n] * m ** (n - 1) for (k, m), mult in below[c])
+            s = w + sum(b * uk * gk for b, uk, gk
+                        in zip(row, uc[1:n], gc[n - 1:0:-1]))
+            tc[n] = s + 1 if c == trivial and n == 1 else s
+            uc[n] = tc[n] + w
+            gc[n] = tc[n] + s   # 2 t_n - [H = 1 and n = 1]
+    return t
+
+
+def _group_counts(group: PermGroup, order: int,
+                  max_order: Optional[int] = None) -> list[int]:
+    """t_0..t_order of ``group`` itself, solved over its own lattice."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    lat = build_lattice(group, max_order)
+    top = lat.node_class[-1]
+    return class_tree_counts(lat, {top: order})[top]
+
+
+def _egf(counts: list[int]) -> PowerSeries:
+    return PowerSeries(len(counts) - 1,
+                       tuple(Fraction(c, math.factorial(n))
+                             for n, c in enumerate(counts)))
 
 
 def base_tree_series(order: int) -> PowerSeries:
     """The EGF of the total assembly-tree counts 1, 1, 4, 26, 236, 2752, ...
 
-    Solved from 1 - x + 2 f = exp(f) with f(0) = 0.
+    Solves 1 - x + 2 f = exp(f) with f(0) = 0.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if _BASE_CACHE and _BASE_CACHE[0].order >= order:
-        return _BASE_CACHE[0].truncate(order)
-    c = [Fraction(0)] * (order + 1)   # coefficients of f
-    b = [Fraction(1)] + [Fraction(0)] * order   # coefficients of exp(f)
-    c[1] = Fraction(1)
-    b[1] = Fraction(1)
-    for n in range(2, order + 1):
-        c[n] = sum((k * c[k] * b[n - k] for k in range(1, n)), Fraction(0)) / n
-        b[n] = 2 * c[n]
-    series = PowerSeries(order, tuple(c))
-    _BASE_CACHE[:] = [series]
-    return series
+    return _egf(_group_counts(trivial_group(1), order))
 
 
 def tree_count(n: int) -> int:
     """The number of assembly trees on n labeled leaves."""
-    return base_tree_series(n).count(n)
+    return _group_counts(trivial_group(1), n)[n]
 
 
 def subgroup_summands(group: PermGroup,
@@ -173,66 +229,10 @@ def subgroup_summands(group: PermGroup,
 def fixed_tree_series(group: PermGroup, order: int,
                       max_order: Optional[int] = None) -> PowerSeries:
     """The EGF of t_n(G): the number of assembly trees on n*|G| leaves fixed
-    by every element of G, for a group of order > 1 acting simply.
-
-    Series are shared between isomorphic groups (the counts only depend on
-    the abstract group, since a simple action is a disjoint union of regular
-    ones).
-    """
+    by every element of G, for a group of order > 1 acting simply."""
     if group.order == 1:
         raise ValueError("use base_tree_series for the trivial group")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    cached = _cache_lookup(group, order)
-    if cached is not None:
-        return cached
-
-    w = [Fraction(0)] * (order + 1)
-    for index, sub in subgroup_summands(group, max_order):
-        if sub.order == group.order:
-            continue
-        sub_series = _series_for(sub, order, max_order)
-        for n in range(1, order + 1):
-            # (1/index) * f_H(index * x)
-            w[n] += sub_series[n] * index ** (n - 1)
-
-    c = [Fraction(0)] * (order + 1)   # coefficients of f_G
-    a = [Fraction(0)] * (order + 1)   # coefficients of f_G + w
-    b = [Fraction(1)] + [Fraction(0)] * order   # coefficients of exp(a)
-    for n in range(1, order + 1):
-        c[n] = w[n] + sum((k * a[k] * b[n - k] for k in range(1, n)),
-                          Fraction(0)) / n
-        a[n] = c[n] + w[n]
-        b[n] = 2 * c[n]
-    series = PowerSeries(order, tuple(c))
-    _cache_store(group, series)
-    return series
-
-
-def _series_for(group: PermGroup, order: int,
-                max_order: Optional[int]) -> PowerSeries:
-    if group.order == 1:
-        return base_tree_series(order)
-    return fixed_tree_series(group, order, max_order)
-
-
-def _cache_lookup(group: PermGroup, order: int) -> Optional[PowerSeries]:
-    fp = group_fingerprint(group)
-    for rep, series in _GROUP_CACHE.get(fp, ()):
-        if series.order >= order and find_isomorphism(group, rep) is not None:
-            return series.truncate(order)
-    return None
-
-
-def _cache_store(group: PermGroup, series: PowerSeries) -> None:
-    fp = group_fingerprint(group)
-    entries = _GROUP_CACHE.setdefault(fp, [])
-    for i, (rep, old) in enumerate(entries):
-        if find_isomorphism(group, rep) is not None:
-            if series.order > old.order:
-                entries[i] = (rep, series)
-            return
-    entries.append((group, series))
+    return _egf(_group_counts(group, order, max_order))
 
 
 def fixed_tree_count(group: PermGroup, n: int,
@@ -245,20 +245,23 @@ def fixed_tree_count(group: PermGroup, n: int,
         raise ValueError("n must be >= 1")
     if group.order == 1:
         return tree_count(n)
-    return fixed_tree_series(group, n, max_order).count(n)
+    return _group_counts(group, n, max_order)[n]
 
 
 def verify_functional_equation(group: PermGroup, series: PowerSeries,
                                max_order: Optional[int] = None) -> bool:
-    """Substitute a solved series back into its defining equation; the
-    residual must vanish through the truncation order."""
+    """Substitute a solved series back into its defining equation, in
+    Fraction arithmetic; the residual must vanish through the truncation
+    order."""
     order = series.order
+    lat = build_lattice(group, max_order)
+    counts = class_tree_counts(lat, {lat.node_class[-1]: order})
     total = zero_series(order)
     for index, sub in subgroup_summands(group, max_order):
         if sub.order == group.order:
             inner = series
         else:
-            inner = _series_for(sub, order, max_order)
+            inner = _egf(counts[lat.node_class[lat.index_of(sub)]])
         total = series_add(total,
                            scalar_mul(scale_argument(inner, index),
                                       Fraction(1, index)))

@@ -81,7 +81,7 @@ def count_trees_by_partition_recursion(n: int) -> int:
 
 def count_trees_by_recurrence(n: int) -> int:
     """Number of trees on n labeled leaves (OEIS A000311), by integer
-    recurrences alone; independent of the Fraction EGF solver.
+    recurrences alone; independent of ``capsid.series``.
 
     With A the tree counts and G the counts of exp(A) (forests: set
     partitions into blocks, each carrying a tree),

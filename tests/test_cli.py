@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import capsid
 from capsid.cli import load_group, main
 
 
@@ -69,6 +75,14 @@ def test_series_golden(capsys):
                    "4       4     26\n"
                    "5       5    236\n"
                    "6       6   2752\n")
+    code, out, _ = run_cli(capsys, "series", "--group", "trivial:1",
+                           "--order", "4", "--egf")
+    assert code == 0
+    assert out == ("n  leaves  count    egf\n"
+                   "1       1      1      1\n"
+                   "2       2      1    1/2\n"
+                   "3       3      4    2/3\n"
+                   "4       4     26  13/12\n")
 
 
 def test_series_klein_csv_with_egf(capsys):
@@ -181,3 +195,17 @@ def test_icosa_report_smoke(capsys):
     assert out.count("\n") > 80
     _, again, _ = run_cli(capsys, "icosa-report")
     assert out == again
+
+
+def test_closed_stdout_is_quiet():
+    src = str(Path(capsid.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "capsid.cli", "enumerate-trees", "--n", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"(")
+    assert err == b""

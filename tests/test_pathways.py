@@ -8,7 +8,7 @@ from capsid.pathways import (burnside_pathway_total, format_distribution,
                              pathway_size_distribution, tbar)
 from capsid.perms import close_generators, parse_permutation, trivial_group
 
-from oracles import brute_orbit_partition
+from oracles import brute_orbit_partition, count_trees_by_recurrence
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +135,12 @@ def test_nontrivial_t_number_warns():
         dist = icosahedral_report(2)
     assert dist.leaf_count == 120
     assert sum(m * n for m, n in dist.per_divisor.items()) == dist.total_trees
+
+
+def test_t7_total_matches_integer_oracle():
+    with pytest.warns(UserWarning):
+        dist = icosahedral_report(7)
+    expected = count_trees_by_recurrence(420)
+    assert dist.total_trees == expected
+    assert sum(row.class_size * row.exact_count
+               for row in dist.per_subgroup_class) == expected

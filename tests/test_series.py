@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from capsid.lattice import build_lattice
 from capsid.perms import (close_generators, cyclic_group, parse_permutation,
                           trivial_group)
-from capsid.series import (PowerSeries, base_tree_series, constant_series,
-                           fixed_tree_count, fixed_tree_series, scalar_mul,
-                           scale_argument, series_add, series_exp, series_mul,
-                           series_sub, subgroup_summands, tree_count,
+from capsid.series import (PowerSeries, base_tree_series, class_tree_counts,
+                           constant_series, fixed_tree_count,
+                           fixed_tree_series, scalar_mul, scale_argument,
+                           series_add, series_exp, series_mul, series_sub,
+                           subgroup_summands, tree_count,
                            verify_functional_equation, zero_series)
 
 from oracles import count_trees_by_partition_recursion
@@ -134,6 +136,22 @@ def test_counts_shared_between_isomorphic_groups(k1, z2_on_6, z2_on_8):
     b = fixed_tree_series(z2_on_6, 5)
     c = fixed_tree_series(z2_on_8, 5)
     assert a == b == c
+
+
+def test_s4_classes_of_isomorphic_subgroups_share_counts():
+    s4 = close_generators([parse_permutation("(1 2 3 4)", 4),
+                           parse_permutation("(1 2)", 4)], 4).regular_action()
+    lat = build_lattice(s4)
+    counts = class_tree_counts(lat, {c: 6 for c in range(len(lat.classes))})
+    involutions, fours = [], []
+    for cls, t in zip(lat.classes, counts):
+        rep = cls.representative
+        if rep.order == 2:
+            involutions.append(t[1:])
+        elif rep.order == 4 and all(p.order() <= 2 for p in rep.elements):
+            fours.append(t[1:])
+    assert involutions == [[1, 6, 72, 1312, 32128, 989696]] * 2
+    assert fours == [[4, 104, 4896, 341120, 31945728, 3790876672]] * 2
 
 
 def test_integrality_through_order_twelve():
