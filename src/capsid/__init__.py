@@ -17,11 +17,10 @@ from .pathways import (PathwayDistribution, SubgroupClassRow,
                        burnside_pathway_total, format_distribution,
                        icosahedral_report, pathway_probabilities,
                        pathway_size_distribution, tbar)
-from .perms import (DEFAULT_MAX_GROUP_ORDER, Coset, PermGroup, Permutation,
-                    SubgroupClass, builtin_group, close_generators,
-                    cyclic_group, group_from_text, icosahedral_group,
-                    klein_group, parse_permutation, replicated_action,
-                    trivial_group)
+from .perms import (PermGroup, Permutation, SubgroupClass, builtin_group,
+                    close_generators, cyclic_group, group_from_text,
+                    icosahedral_group, klein_group, parse_permutation,
+                    replicated_action, trivial_group)
 from .series import (PowerSeries, base_tree_series, fixed_tree_count,
                      fixed_tree_series, scalar_mul, scale_argument,
                      series_add, series_exp, series_mul, series_sub,

@@ -20,8 +20,14 @@ from . import series as sr
 from . import trees as tr
 from .lattice import build_lattice
 from .stabilizer import fixes, stabilizer
-from .perms import DEFAULT_MAX_GROUP_ORDER, PermGroup, builtin_group, \
-    group_from_text, parse_permutation
+from .perms import PermGroup, builtin_group, group_from_text, \
+    icosahedral_group, parse_permutation
+
+# The subgroup census (lattice, Moebius values, fixed-tree counts and the
+# fixed-tree generator) enumerates every subgroup, so groups from outside are
+# refused above this order; CAPSID_MAX_GROUP_ORDER overrides it.
+DEFAULT_MAX_GROUP_ORDER = 120
+
 
 def load_group(name_or_path: str) -> PermGroup:
     """Resolve --group arguments: a builtin name or a path to a group file."""
@@ -33,6 +39,14 @@ def load_group(name_or_path: str) -> PermGroup:
         return group_from_text(path.read_text())
     raise ValueError(
         f"unknown group {name_or_path!r}: not a builtin name and not a file")
+
+
+def _bounded(group: PermGroup, max_order: int) -> PermGroup:
+    """``group`` itself, or a ValueError if the census bound refuses it."""
+    if group.order > max_order:
+        raise ValueError(f"group order {group.order} exceeds "
+                         f"subgroup-enumeration bound {max_order}")
+    return group
 
 
 def _table(rows: list[tuple], header: tuple, fmt: str) -> str:
@@ -75,21 +89,23 @@ def _cmd_stabilizer(args, max_order) -> int:
 
 
 def _cmd_fixed_trees(args, max_order) -> int:
-    group = load_group(args.group)
+    group = _bounded(load_group(args.group), max_order)
     if args.count_only:
-        print(ft.count_fixed_trees_direct(group, max_order))
+        print(ft.count_fixed_trees_direct(group))
     else:
-        for text in sorted(t.to_text() for t in ft.generate_fixed_trees(group, max_order)):
+        for text in sorted(t.to_text() for t in ft.generate_fixed_trees(group)):
             print(text)
     return 0
 
 
 def _cmd_series(args, max_order) -> int:
     group = load_group(args.group)
+    if args.order < 1:
+        raise ValueError("order must be >= 1")
     if group.order == 1:
         ps = sr.base_tree_series(args.order)
     else:
-        ps = sr.fixed_tree_series(group, args.order, max_order)
+        ps = sr.fixed_tree_series(_bounded(group, max_order), args.order)
     rows = []
     for n in range(1, args.order + 1):
         row = (n, n * group.order, ps.count(n))
@@ -102,8 +118,8 @@ def _cmd_series(args, max_order) -> int:
 
 
 def _cmd_pathways(args, max_order) -> int:
-    group = load_group(args.group)
-    dist = pw.pathway_size_distribution(group, max_order)
+    group = _bounded(load_group(args.group), max_order)
+    dist = pw.pathway_size_distribution(group)
     probs = pw.pathway_probabilities(dist)
     rows = [(m, n, probs[m]) for m, n in sorted(dist.per_divisor.items()) if n]
     sys.stdout.write(_table(rows, ("m", "pathways", "probability"), args.format))
@@ -111,17 +127,20 @@ def _cmd_pathways(args, max_order) -> int:
 
 
 def _cmd_icosa_report(args, max_order) -> int:
-    dist = pw.icosahedral_report(args.T, max_order)
+    if args.T < 1:
+        raise ValueError("T must be >= 1")
+    _bounded(icosahedral_group(), max_order)
+    dist = pw.icosahedral_report(args.T)
     sys.stdout.write(pw.format_distribution(dist))
     print()
     print("mobius matrix (CSV):")
-    sys.stdout.write(build_lattice(dist.group, max_order).to_csv())
+    sys.stdout.write(build_lattice(dist.group).to_csv())
     return 0
 
 
 def _cmd_blocks(args, max_order) -> int:
-    group = load_group(args.group)
-    systems = ft.enumerate_block_systems(group, max_order)
+    group = _bounded(load_group(args.group), max_order)
+    systems = ft.enumerate_block_systems(group)
     if args.format == "csv":
         rows = [(i + 1, len(s.blocks), _blocks_text(s).replace(" ", "|"))
                 for i, s in enumerate(systems)]
@@ -133,8 +152,8 @@ def _cmd_blocks(args, max_order) -> int:
 
 
 def _cmd_mobius(args, max_order) -> int:
-    group = load_group(args.group)
-    sys.stdout.write(build_lattice(group, max_order).to_csv())
+    group = _bounded(load_group(args.group), max_order)
+    sys.stdout.write(build_lattice(group).to_csv())
     return 0
 
 
@@ -229,17 +248,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    max_order = None
     env = os.environ.get("CAPSID_MAX_GROUP_ORDER")
-    if env is not None:
-        try:
-            max_order = int(env)
-        except ValueError:
-            print(f"error: CAPSID_MAX_GROUP_ORDER must be an integer, got {env!r}",
-                  file=sys.stderr)
-            return 1
-    if max_order is None:
-        max_order = DEFAULT_MAX_GROUP_ORDER
+    try:
+        max_order = DEFAULT_MAX_GROUP_ORDER if env is None else int(env)
+    except ValueError:
+        print(f"error: CAPSID_MAX_GROUP_ORDER must be an integer, got {env!r}",
+              file=sys.stderr)
+        return 1
     try:
         code = args.func(args, max_order)
         sys.stdout.flush()
@@ -252,6 +267,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: tree nests too deeply to process (recursion limit "
+              f"{sys.getrecursionlimit()} exceeded)", file=sys.stderr)
         return 1
 
 

@@ -72,8 +72,7 @@ def is_compatible(group: PermGroup, system: BlockSystem) -> bool:
                for g in group.elements for b in system.blocks)
 
 
-def enumerate_block_systems(group: PermGroup,
-                            max_order: Optional[int] = None) -> list[BlockSystem]:
+def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
     """All compatible block systems for a simple action, each exactly once.
 
     Iterates the generating triples (orbit-set partition, subgroups, seed
@@ -82,7 +81,7 @@ def enumerate_block_systems(group: PermGroup,
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
     orbs = tuple(group.orbits())
-    subs = group.all_subgroups(max_order)
+    subs = group.all_subgroups()
     coset_cache = {sub: group.left_coset_representatives(sub) for sub in subs}
     seen: dict[frozenset, BlockSystem] = {}
     for parts in set_partitions(orbs):
@@ -154,15 +153,14 @@ class FixedTreeDiagnostics:
         return self.produced == self.distinct
 
 
-def construction_recipes(group: PermGroup, points: Optional[frozenset] = None,
-                         max_order: Optional[int] = None
+def construction_recipes(group: PermGroup, points: Optional[frozenset] = None
                          ) -> Iterator[FixedTreeRecipe]:
     """The (partition, subgroups, seeds) choices for one construction level,
     already filtered by the uniqueness restrictions."""
     if points is None:
         points = frozenset(range(1, group.degree + 1))
     orbs = tuple(group.orbits_within(points))
-    classes = group.conjugacy_classes_of_subgroups(max_order)
+    classes = group.conjugacy_classes_of_subgroups()
     reps = [c.representative for c in classes]
     normalizer_cache = {rep: group.normalizer(rep).elements for rep in reps}
     for parts in set_partitions(orbs):
@@ -193,8 +191,7 @@ def _seed_is_canonical(seed: frozenset, normalizer_elements) -> bool:
                for n in normalizer_elements)
 
 
-def _fixed_trees_on(group: PermGroup, points: frozenset,
-                    max_order: Optional[int]) -> Iterator[AssemblyTree]:
+def _fixed_trees_on(group: PermGroup, points: frozenset) -> Iterator[AssemblyTree]:
     if len(points) == 1:
         yield AssemblyTree.leaf(next(iter(points)))
         return
@@ -202,26 +199,24 @@ def _fixed_trees_on(group: PermGroup, points: frozenset,
         # the trivial group fixes everything
         yield from enumerate_all_trees(points, max_size=len(points))
         return
-    for recipe in construction_recipes(group, points, max_order):
+    for recipe in construction_recipes(group, points):
         coset_reps = [group.left_coset_representatives(sub)
                       for sub in recipe.subgroups]
-        yield from _assemble(recipe, coset_reps, 0, [], max_order)
+        yield from _assemble(recipe, coset_reps, 0, [])
 
 
-def _assemble(recipe: FixedTreeRecipe, coset_reps, i, children,
-              max_order) -> Iterator[AssemblyTree]:
+def _assemble(recipe: FixedTreeRecipe, coset_reps, i,
+              children) -> Iterator[AssemblyTree]:
     if i == len(recipe.subgroups):
         yield AssemblyTree.node(children)
         return
     sub, seed = recipe.subgroups[i], recipe.seeds[i]
-    for subtree in _fixed_trees_on(sub, seed, max_order):
+    for subtree in _fixed_trees_on(sub, seed):
         translated = [act(rep, subtree) for rep in coset_reps[i]]
-        yield from _assemble(recipe, coset_reps, i + 1,
-                             children + translated, max_order)
+        yield from _assemble(recipe, coset_reps, i + 1, children + translated)
 
 
 def generate_fixed_trees(group: PermGroup,
-                         max_order: Optional[int] = None,
                          diagnostics: Optional[list] = None
                          ) -> Iterator[AssemblyTree]:
     """Every assembly tree on the full point set fixed by the whole group,
@@ -235,7 +230,7 @@ def generate_fixed_trees(group: PermGroup,
     points = frozenset(range(1, group.degree + 1))
     produced = 0
     seen: set[AssemblyTree] = set()
-    for tree in _fixed_trees_on(group, points, max_order):
+    for tree in _fixed_trees_on(group, points):
         produced += 1
         if tree not in seen:
             seen.add(tree)
@@ -244,18 +239,16 @@ def generate_fixed_trees(group: PermGroup,
         diagnostics.append(FixedTreeDiagnostics(produced, len(seen)))
 
 
-def generation_diagnostics(group: PermGroup,
-                           max_order: Optional[int] = None) -> FixedTreeDiagnostics:
+def generation_diagnostics(group: PermGroup) -> FixedTreeDiagnostics:
     """Run a full generation and report whether the uniqueness restrictions
     alone avoided duplicates."""
     out: list = []
-    for _ in generate_fixed_trees(group, max_order, diagnostics=out):
+    for _ in generate_fixed_trees(group, diagnostics=out):
         pass
     return out[0]
 
 
-def count_fixed_trees_direct(group: PermGroup,
-                             max_order: Optional[int] = None) -> int:
+def count_fixed_trees_direct(group: PermGroup) -> int:
     """Stream length of :func:`generate_fixed_trees`; cross-checks the
     generating-function counts."""
-    return sum(1 for _ in generate_fixed_trees(group, max_order))
+    return sum(1 for _ in generate_fixed_trees(group))

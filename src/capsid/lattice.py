@@ -130,9 +130,9 @@ class SubgroupLattice:
         return "\n".join(lines) + "\n"
 
 
-def build_lattice(group: PermGroup, max_order: Optional[int] = None) -> SubgroupLattice:
+def build_lattice(group: PermGroup) -> SubgroupLattice:
     """Construct the subgroup lattice of ``group`` with Moebius values filled
     in by the defining recursion."""
-    nodes = group.all_subgroups(max_order)
-    classes = group.conjugacy_classes_of_subgroups(max_order)
+    nodes = group.all_subgroups()
+    classes = group.conjugacy_classes_of_subgroups()
     return SubgroupLattice(group, nodes, classes)

@@ -51,12 +51,11 @@ class PathwayDistribution:
 
 def tbar(group: PermGroup, sub: PermGroup,
          t: Union[Callable[[PermGroup], int], dict],
-         lat: Optional[SubgroupLattice] = None,
-         max_order: Optional[int] = None) -> int:
+         lat: Optional[SubgroupLattice] = None) -> int:
     """Moebius inversion at one subgroup: the number of trees fixed by sub
     and by nothing larger, given t on every supergroup."""
     if lat is None:
-        lat = build_lattice(group, max_order)
+        lat = build_lattice(group)
     lookup = t.__getitem__ if isinstance(t, dict) else t
     value = sum(lat.mobius_value(sub, over) * lookup(over)
                 for over in lat.interval_above(sub))
@@ -68,7 +67,6 @@ def tbar(group: PermGroup, sub: PermGroup,
 
 
 def pathway_size_distribution(group: PermGroup,
-                              max_order: Optional[int] = None,
                               lat: Optional[SubgroupLattice] = None
                               ) -> PathwayDistribution:
     """Compute N(m) for every divisor m of the group order, from the
@@ -77,7 +75,7 @@ def pathway_size_distribution(group: PermGroup,
         raise ValueError("the group action is not simple")
     leaf_count = group.degree
     if lat is None:
-        lat = build_lattice(group, max_order)
+        lat = build_lattice(group)
     t_by_class = _fixed_counts_by_class(lat, leaf_count)
 
     def t_of(sub: PermGroup) -> int:
@@ -121,12 +119,11 @@ def pathway_probabilities(dist: PathwayDistribution) -> dict[int, Fraction]:
             for m, n in sorted(dist.per_divisor.items()) if n}
 
 
-def burnside_pathway_total(group: PermGroup,
-                           max_order: Optional[int] = None) -> int:
+def burnside_pathway_total(group: PermGroup) -> int:
     """Orbit count by averaging fixed-tree counts over the group: each
     element g fixes exactly t(<g>) trees, where <g> is the cyclic group it
     generates."""
-    lat = build_lattice(group, max_order)
+    lat = build_lattice(group)
     t_by_class = _fixed_counts_by_class(lat, group.degree)
     total = sum(t_by_class[lat.node_class[lat.index_of(
                     close_generators([g], group.degree))]]
@@ -156,8 +153,7 @@ def _divisors(n: int) -> list[int]:
 
 # -- the end-to-end icosahedral report ---------------------------------------
 
-def icosahedral_report(t_number: int = 1,
-                       max_order: Optional[int] = None) -> PathwayDistribution:
+def icosahedral_report(t_number: int = 1) -> PathwayDistribution:
     """The pathway distribution of the order-60 icosahedral rotation group
     acting simply on 60 * T facets.
 
@@ -172,7 +168,7 @@ def icosahedral_report(t_number: int = 1,
     group = icosahedral_group()
     if t_number > 1:
         group = replicated_action(group, t_number)
-    return pathway_size_distribution(group, max_order)
+    return pathway_size_distribution(group)
 
 
 def format_distribution(dist: PathwayDistribution) -> str:

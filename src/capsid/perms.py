@@ -16,8 +16,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-DEFAULT_MAX_GROUP_ORDER = 120
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -290,18 +288,13 @@ class PermGroup:
 
     # -- subgroup enumeration ----------------------------------------------
 
-    def all_subgroups(self, max_order: Optional[int] = None) -> list["PermGroup"]:
+    def all_subgroups(self) -> list["PermGroup"]:
         """Every subgroup exactly once, canonically ordered by (order, elements).
 
         Seeds with the cyclic subgroups and closes under joins with cyclic
         subgroups until a fixpoint; exact and fast for the tiny groups in
-        scope.  Raises if the group order exceeds ``max_order``
-        (default 120).
+        scope.
         """
-        bound = DEFAULT_MAX_GROUP_ORDER if max_order is None else max_order
-        if self.order > bound:
-            raise ValueError(
-                f"group order {self.order} exceeds subgroup-enumeration bound {bound}")
         if self._subgroups is None:
             self._subgroups = tuple(self._compute_subgroups())
         return list(self._subgroups)
@@ -333,15 +326,14 @@ class PermGroup:
         subs.sort(key=_subgroup_sort_key)
         return subs
 
-    def conjugacy_classes_of_subgroups(
-            self, max_order: Optional[int] = None) -> list["SubgroupClass"]:
+    def conjugacy_classes_of_subgroups(self) -> list["SubgroupClass"]:
         """Partition of all subgroups into conjugacy classes.
 
         The representative of each class is its canonically least member.
         """
         if self._classes is not None:
             return list(self._classes)
-        subs = self.all_subgroups(max_order)
+        subs = self.all_subgroups()
         table = self._mul_table()
         inv = self._inv_vector()
         idx = self._elem_index()
@@ -409,10 +401,6 @@ class PermGroup:
         return PermGroup(n, [perms[g.images] for g in self.generators],
                          list(perms.values()))
 
-    def left_cosets(self, sub: "PermGroup") -> list["Coset"]:
-        """The left cosets of ``sub``, one per representative."""
-        return [Coset(rep, sub) for rep in self.left_coset_representatives(sub)]
-
 
 @dataclass(frozen=True)
 class SubgroupClass:
@@ -423,35 +411,6 @@ class SubgroupClass:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-class Coset:
-    """A left coset r*H of a subgroup; two cosets are equal exactly when
-    r_1^{-1} * r_2 lies in the subgroup."""
-
-    __slots__ = ("representative", "subgroup")
-
-    def __init__(self, representative: Permutation, subgroup: PermGroup):
-        self.representative = representative
-        self.subgroup = subgroup
-
-    def elements(self) -> list[Permutation]:
-        return sorted(self.representative * h for h in self.subgroup.elements)
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return (self.representative.inverse() * perm) in self.subgroup
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Coset) and self.subgroup == other.subgroup
-                and (self.representative.inverse() * other.representative)
-                in self.subgroup)
-
-    def __hash__(self) -> int:
-        return hash((self.subgroup, min(self.elements()).images))
-
-    def __repr__(self) -> str:
-        return (f"Coset({self.representative.cycle_string()} * subgroup of "
-                f"order {self.subgroup.order})")
 
 
 def _subgroup_sort_key(sub: PermGroup):

@@ -27,7 +27,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .lattice import SubgroupLattice, build_lattice
 from .perms import PermGroup, trivial_group
@@ -188,12 +187,11 @@ def class_tree_counts(lat: SubgroupLattice,
     return t
 
 
-def _group_counts(group: PermGroup, order: int,
-                  max_order: Optional[int] = None) -> list[int]:
+def _group_counts(group: PermGroup, order: int) -> list[int]:
     """t_0..t_order of ``group`` itself, solved over its own lattice."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    lat = build_lattice(group, max_order)
+    lat = build_lattice(group)
     top = lat.node_class[-1]
     return class_tree_counts(lat, {top: order})[top]
 
@@ -217,26 +215,23 @@ def tree_count(n: int) -> int:
     return _group_counts(trivial_group(1), n)[n]
 
 
-def subgroup_summands(group: PermGroup,
-                      max_order: Optional[int] = None) -> list[tuple[int, PermGroup]]:
+def subgroup_summands(group: PermGroup) -> list[tuple[int, PermGroup]]:
     """The (index, subgroup) pairs whose scaled series sum sits inside the
     exponential of the group's functional equation; one entry per subgroup,
     the group itself included."""
     return [(group.order // sub.order, sub)
-            for sub in group.all_subgroups(max_order)]
+            for sub in group.all_subgroups()]
 
 
-def fixed_tree_series(group: PermGroup, order: int,
-                      max_order: Optional[int] = None) -> PowerSeries:
+def fixed_tree_series(group: PermGroup, order: int) -> PowerSeries:
     """The EGF of t_n(G): the number of assembly trees on n*|G| leaves fixed
     by every element of G, for a group of order > 1 acting simply."""
     if group.order == 1:
         raise ValueError("use base_tree_series for the trivial group")
-    return _egf(_group_counts(group, order, max_order))
+    return _egf(_group_counts(group, order))
 
 
-def fixed_tree_count(group: PermGroup, n: int,
-                     max_order: Optional[int] = None) -> int:
+def fixed_tree_count(group: PermGroup, n: int) -> int:
     """t_n(G): the number of assembly trees on n*|G| leaves fixed by G.
 
     For the trivial group this is the total count of trees on n leaves.
@@ -245,19 +240,18 @@ def fixed_tree_count(group: PermGroup, n: int,
         raise ValueError("n must be >= 1")
     if group.order == 1:
         return tree_count(n)
-    return _group_counts(group, n, max_order)[n]
+    return _group_counts(group, n)[n]
 
 
-def verify_functional_equation(group: PermGroup, series: PowerSeries,
-                               max_order: Optional[int] = None) -> bool:
+def verify_functional_equation(group: PermGroup, series: PowerSeries) -> bool:
     """Substitute a solved series back into its defining equation, in
     Fraction arithmetic; the residual must vanish through the truncation
     order."""
     order = series.order
-    lat = build_lattice(group, max_order)
+    lat = build_lattice(group)
     counts = class_tree_counts(lat, {lat.node_class[-1]: order})
     total = zero_series(order)
-    for index, sub in subgroup_summands(group, max_order):
+    for index, sub in subgroup_summands(group):
         if sub.order == group.order:
             inner = series
         else:

@@ -156,13 +156,49 @@ def test_bad_tree_error(capsys):
     assert code == 1 and "single child" in err
 
 
-def test_group_order_bound_env(capsys, monkeypatch):
+CENSUS_COMMANDS = [
+    ("fixed-trees", "--group", "icosahedral", "--count-only"),
+    ("series", "--group", "icosahedral", "--order", "2"),
+    ("pathways", "--group", "icosahedral"),
+    ("icosa-report",),
+    ("blocks", "--group", "icosahedral"),
+    ("mobius", "--group", "icosahedral"),
+]
+
+
+def test_group_order_bound_env(capsys, monkeypatch, ico):
+    # the builtin icosahedral group shares this cache: a warm cache must not
+    # let any census command past the bound
+    ico.conjugacy_classes_of_subgroups()
     monkeypatch.setenv("CAPSID_MAX_GROUP_ORDER", "30")
-    code, _, err = run_cli(capsys, "mobius", "--group", "icosahedral")
-    assert code == 1 and "exceeds" in err
+    for argv in CENSUS_COMMANDS:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: group order 60 exceeds subgroup-enumeration " \
+                      "bound 30\n", argv
+    code, _, err = run_cli(capsys, "icosa-report", "--T", "0")
+    assert (code, err) == (1, "error: T must be >= 1\n")
+    code, out, _ = run_cli(capsys, "fixes", "--group", "icosahedral",
+                           "--perm", "(1 2)", "--tree", "(1,2)")
+    assert (code, out) == (0, "true\n")
+    star = "(" + ",".join(str(x) for x in range(1, 61)) + ")"
+    code, out, _ = run_cli(capsys, "stabilizer", "--group", "icosahedral",
+                           "--tree", star)
+    assert code == 0 and out.endswith("order: 60\norbit-size: 1\n")
     monkeypatch.setenv("CAPSID_MAX_GROUP_ORDER", "potato")
     code, _, err = run_cli(capsys, "mobius", "--group", "klein4")
     assert code == 1 and "must be an integer" in err
+
+
+def test_deep_tree_is_one_line_error(capsys):
+    caterpillar = "1500"
+    for leaf in range(1499, 0, -1):
+        caterpillar = f"({leaf},{caterpillar})"
+    code, out, err = run_cli(capsys, "stabilizer", "--group", "trivial:1500",
+                             "--tree", caterpillar)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "nests too deeply" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from capsid.perms import (Permutation, builtin_group, close_generators,
-                          cyclic_group, group_from_text, parse_permutation,
+                          group_from_text, parse_permutation,
                           replicated_action, trivial_group)
 
 
@@ -124,11 +124,6 @@ def test_all_subgroups_exactly_once(s3):
     assert len({s.element_key for s in subs}) == len(subs) == 6
 
 
-def test_subgroup_bound():
-    with pytest.raises(ValueError):
-        cyclic_group(12).all_subgroups(max_order=10)
-
-
 def test_icosahedral_census(ico):
     subs = ico.all_subgroups()
     histogram = {}
@@ -182,23 +177,6 @@ def test_left_coset_representatives(klein, ico):
     assert len(klein.left_coset_representatives(klein)) == 1
     h12 = next(s for s in ico.all_subgroups() if s.order == 12)
     assert len(ico.left_coset_representatives(h12)) == 5
-
-
-def test_coset_equality_invariant(klein):
-    k1 = klein.all_subgroups()[1]
-    cosets = klein.left_cosets(k1)
-    assert len(cosets) == 2
-    for a in cosets:
-        for b in cosets:
-            same = (a.representative.inverse() * b.representative) in k1
-            assert (a == b) == same
-            if a == b:
-                assert hash(a) == hash(b)
-    other = next(g for g in klein.elements if g not in k1)
-    from capsid.perms import Coset
-    assert Coset(other, k1) == Coset(other * k1.elements[1], k1)
-    assert Coset(other, k1) != Coset(klein.identity, k1)
-    assert other in Coset(other, k1)
 
 
 def test_orbits_within_rejects_non_invariant_sets(k1):

@@ -140,6 +140,24 @@ def test_stabilizer_matches_brute_force(klein, k1, z2_on_6, z6, s3_regular):
                 set(brute_stabilizer(group, tau))
 
 
+def _greedy_generators(group, tau):
+    """The identity, then each element of the brute-force stabilizer, in
+    increasing order, that the earlier ones do not already generate."""
+    gens = [group.identity]
+    for g in sorted(brute_stabilizer(group, tau)):
+        if g not in close_generators(gens, group.degree):
+            gens.append(g)
+    return tuple(gens)
+
+
+def test_stabilizer_generators_are_greedy(s3_regular, z6):
+    for group in (s3_regular, z6):
+        sample = itertools.islice(enumerate_all_trees(range(1, 7)), 0, 2752, 11)
+        for tau in sample:
+            assert stabilizer(group, tau).generators == \
+                _greedy_generators(group, tau)
+
+
 def test_stabilizer_leaf_set_mismatch(klein):
     with pytest.raises(ValueError):
         stabilizer(klein, parse_tree("(1,2,3,4,5)"))
