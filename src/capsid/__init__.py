@@ -7,12 +7,12 @@ distribution of pathway (orbit) sizes and probabilities, all in arbitrary-
 precision rational arithmetic.
 """
 
-from .fixed_trees import (BlockOrigin, BlockSystem, FixedTreeDiagnostics,
-                          FixedTreeRecipe, children_block_system,
-                          construction_recipes, count_fixed_trees_direct,
-                          enumerate_block_systems, generate_fixed_trees,
-                          generation_diagnostics, is_compatible)
-from .lattice import HasseEdge, SubgroupLattice, build_lattice
+from .fixed_trees import (BlockSystem, FixedTreeDiagnostics, FixedTreeRecipe,
+                          children_block_system, construction_recipes,
+                          count_fixed_trees_direct, enumerate_block_systems,
+                          generate_fixed_trees, generation_diagnostics,
+                          is_compatible)
+from .lattice import SubgroupLattice, build_lattice
 from .pathways import (PathwayDistribution, SubgroupClassRow,
                        burnside_pathway_total, format_distribution,
                        icosahedral_report, pathway_probabilities,
@@ -26,8 +26,8 @@ from .series import (PowerSeries, base_tree_series, fixed_tree_count,
                      series_add, series_exp, series_mul, series_sub,
                      subgroup_summands, tree_count,
                      verify_functional_equation, zero_series)
-from .stabilizer import (StabilizerResult, TraversalAudit, fixes,
-                         locate_image, pointer_traversal_audit, stabilizer)
+from .stabilizers import (StabilizerResult, TraversalAudit, fixes,
+                          locate_image, pointer_traversal_audit, stabilizer)
 from .trees import (AssemblyTree, TreePointerView, act, count_trees,
                     enumerate_all_trees, orbit_of_tree, parse_tree,
                     pointer_view, set_partitions)

@@ -19,7 +19,7 @@ from . import pathways as pw
 from . import series as sr
 from . import trees as tr
 from .lattice import build_lattice
-from .stabilizer import fixes, stabilizer
+from .stabilizers import fixes, stabilizer
 from .perms import PermGroup, builtin_group, group_from_text, \
     icosahedral_group, parse_permutation
 
@@ -255,6 +255,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: CAPSID_MAX_GROUP_ORDER must be an integer, got {env!r}",
               file=sys.stderr)
         return 1
+    # counts pass Python's default 4,300-digit int-to-str cap by T = 24;
+    # lift it for the run and put it back after
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args, max_order)
         sys.stdout.flush()
@@ -272,6 +277,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: tree nests too deeply to process (recursion limit "
               f"{sys.getrecursionlimit()} exceeded)", file=sys.stderr)
         return 1
+    finally:
+        if digit_cap is not None:
+            sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,21 @@
 """Compatible block systems and the recursive generator of all assembly
 trees fixed by a group acting simply.
 
-Every compatible block system arises from a triple: a partition of the
-orbit set, one subgroup per part, and one subgroup-orbit picked inside each
-group-orbit of the part; the blocks are the coset translates of the chosen
-union.  A tree fixed by the whole group is built the same way: pick the
-triple, recursively build a subtree fixed by the part's subgroup on its
-seed union, and attach the coset translates of that subtree as children of
-a new root.
+Both come from one enumeration, :func:`construction_recipes`, of triples: a
+partition of the orbit set, one subgroup per part, and one seed union per
+part (one subgroup-orbit picked inside each group-orbit of the part).  The
+blocks of a system are the coset translates of each part's seed.  A tree
+fixed by the whole group is built the same way: pick the triple, recursively
+build a subtree fixed by the part's subgroup on its seed union, and attach
+the coset translates of that subtree as children of a new root.
 
 Uniqueness is enforced by (a) drawing subgroups from conjugacy-class
 representatives only and (b) keeping one seed union per orbit of the
-normalizer; a final set-level deduplication is retained as belt and braces,
-and the diagnostics report says whether it was ever needed.
+normalizer.  In a simple action the setwise stabilizer of a seed is exactly
+its subgroup, so each block system comes from one recipe, apart from the
+single block, which no recipe gives.  The tree generator keeps a final
+set-level deduplication as belt and braces, and the diagnostics report says
+whether it was ever needed.
 """
 
 from __future__ import annotations
@@ -21,29 +24,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .perms import PermGroup, Permutation
+from .perms import PermGroup
 from .trees import AssemblyTree, act, enumerate_all_trees, set_partitions
 
 
 @dataclass(frozen=True)
-class BlockOrigin:
-    """How one block was produced: which part, subgroup, seed union, and
-    coset representative."""
-    part_index: int
-    subgroup: PermGroup
-    seed: frozenset
-    representative: Permutation
-
-
-@dataclass(frozen=True)
 class BlockSystem:
-    """A partition of the point set into blocks, closed under the action.
-
-    ``origins``, when present, records the generating triple data for each
-    block (parallel to ``blocks``).
-    """
+    """A partition of the point set into blocks, closed under the action."""
     blocks: tuple[frozenset, ...]
-    origins: Optional[tuple[BlockOrigin, ...]] = None
 
     @property
     def points(self) -> frozenset:
@@ -53,16 +41,12 @@ class BlockSystem:
         return (len(self.blocks), tuple(tuple(sorted(b)) for b in self.blocks))
 
 
-def _make_system(blocks, origins=None) -> BlockSystem:
-    pairs = sorted(zip(blocks, origins or itertools.repeat(None)),
-                   key=lambda p: min(p[0]))
-    blocks = tuple(frozenset(b) for b, _ in pairs)
+def _make_system(blocks) -> BlockSystem:
+    blocks = tuple(sorted((frozenset(b) for b in blocks), key=min))
     total = sum(len(b) for b in blocks)
     if len(frozenset(itertools.chain.from_iterable(blocks))) != total:
         raise ValueError("blocks overlap")
-    if origins is None:
-        return BlockSystem(blocks)
-    return BlockSystem(blocks, tuple(o for _, o in pairs))
+    return BlockSystem(blocks)
 
 
 def is_compatible(group: PermGroup, system: BlockSystem) -> bool:
@@ -75,37 +59,24 @@ def is_compatible(group: PermGroup, system: BlockSystem) -> bool:
 def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
     """All compatible block systems for a simple action, each exactly once.
 
-    Iterates the generating triples (orbit-set partition, subgroups, seed
-    unions) and deduplicates by the resulting partition of the points.
+    The single block, plus for each construction recipe the left-coset
+    translates of each part's seed.
     """
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
-    orbs = tuple(group.orbits())
-    subs = group.all_subgroups()
-    coset_cache = {sub: group.left_coset_representatives(sub) for sub in subs}
-    seen: dict[frozenset, BlockSystem] = {}
-    for parts in set_partitions(orbs):
-        per_part_options = []
-        for part in parts:
-            options = []
-            for sub in subs:
-                korbit_lists = [sub.orbits_within(orbit) for orbit in part]
-                for combo in itertools.product(*korbit_lists):
-                    seed = frozenset(itertools.chain.from_iterable(combo))
-                    options.append((sub, seed))
-            per_part_options.append(options)
-        for assignment in itertools.product(*per_part_options):
-            blocks = []
-            origins = []
-            for part_index, (sub, seed) in enumerate(assignment):
-                for rep in coset_cache[sub]:
-                    blocks.append(frozenset(rep(x) for x in seed))
-                    origins.append(BlockOrigin(part_index, sub, seed, rep))
-            system = _make_system(blocks, origins)
-            key = frozenset(system.blocks)
-            if key not in seen:
-                seen[key] = system
-    return sorted(seen.values(), key=BlockSystem.sort_key)
+    coset_reps = {cls.representative:
+                  group.left_coset_representatives(cls.representative)
+                  for cls in group.conjugacy_classes_of_subgroups()}
+    systems = {_make_system([range(1, group.degree + 1)])}
+    for recipe in construction_recipes(group):
+        system = _make_system(
+            frozenset(rep(x) for x in seed)
+            for sub, seed in zip(recipe.subgroups, recipe.seeds)
+            for rep in coset_reps[sub])
+        if system in systems:
+            raise RuntimeError("two construction recipes gave one block system")
+        systems.add(system)
+    return sorted(systems, key=BlockSystem.sort_key)
 
 
 def distinct_blocks(systems: list[BlockSystem]) -> set[frozenset]:
@@ -127,7 +98,7 @@ def children_block_system(group: PermGroup, tau: AssemblyTree) -> BlockSystem:
     return system
 
 
-# -- the recursive generator ----------------------------------------------
+# -- construction recipes and the recursive generator ---------------------
 
 @dataclass(frozen=True)
 class FixedTreeRecipe:
@@ -200,20 +171,14 @@ def _fixed_trees_on(group: PermGroup, points: frozenset) -> Iterator[AssemblyTre
         yield from enumerate_all_trees(points, max_size=len(points))
         return
     for recipe in construction_recipes(group, points):
-        coset_reps = [group.left_coset_representatives(sub)
-                      for sub in recipe.subgroups]
-        yield from _assemble(recipe, coset_reps, 0, [])
-
-
-def _assemble(recipe: FixedTreeRecipe, coset_reps, i,
-              children) -> Iterator[AssemblyTree]:
-    if i == len(recipe.subgroups):
-        yield AssemblyTree.node(children)
-        return
-    sub, seed = recipe.subgroups[i], recipe.seeds[i]
-    for subtree in _fixed_trees_on(sub, seed):
-        translated = [act(rep, subtree) for rep in coset_reps[i]]
-        yield from _assemble(recipe, coset_reps, i + 1, children + translated)
+        # per part, the coset translates of each subtree on its seed
+        per_part = []
+        for sub, seed in zip(recipe.subgroups, recipe.seeds):
+            reps = group.left_coset_representatives(sub)
+            per_part.append([[act(rep, subtree) for rep in reps]
+                             for subtree in _fixed_trees_on(sub, seed)])
+        for choice in itertools.product(*per_part):
+            yield AssemblyTree.node(itertools.chain.from_iterable(choice))
 
 
 def generate_fixed_trees(group: PermGroup,

@@ -6,24 +6,9 @@ never transcribed from anywhere, and can be exported as CSV for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .perms import PermGroup, SubgroupClass
-
-
-@dataclass(frozen=True)
-class HasseEdge:
-    """A covering relation between two conjugacy classes of subgroups.
-
-    ``below_per_above`` counts subgroups of order ``order_below`` inside each
-    subgroup of order ``order_above``; ``above_per_below`` counts the other
-    direction.
-    """
-    order_below: int
-    order_above: int
-    below_per_above: int
-    above_per_below: int
 
 
 class SubgroupLattice:
@@ -83,41 +68,6 @@ class SubgroupLattice:
 
     def class_of(self, sub: PermGroup) -> SubgroupClass:
         return self.classes[self.node_class[self.index_of(sub)]]
-
-    def covering_pairs(self) -> list[tuple[int, int]]:
-        """Index pairs (i, j) where nodes[j] covers nodes[i]."""
-        n = len(self.nodes)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if any(self.leq[i][k] and self.leq[k][j]
-                       for k in range(n) if k != i and k != j):
-                    continue
-                out.append((i, j))
-        return out
-
-    def hasse_edge_counts(self) -> list[HasseEdge]:
-        """Containment multiplicities for each covering pair of conjugacy
-        classes, both directions (see :class:`HasseEdge`)."""
-        covering = set(self.covering_pairs())
-        seen_class_pairs = sorted({(self.node_class[i], self.node_class[j])
-                                   for i, j in covering})
-        edges = []
-        for ci, cj in seen_class_pairs:
-            below, above = self.classes[ci], self.classes[cj]
-            rep_above = self.index_of(above.representative)
-            rep_below = self.index_of(below.representative)
-            below_per_above = sum(
-                1 for m in below.members if self.leq[self.index_of(m)][rep_above])
-            above_per_below = sum(
-                1 for m in above.members if self.leq[rep_below][self.index_of(m)])
-            edges.append(HasseEdge(below.representative.order,
-                                   above.representative.order,
-                                   below_per_above, above_per_below))
-        edges.sort(key=lambda e: (e.order_below, e.order_above))
-        return edges
 
     def to_csv(self) -> str:
         """Moebius matrix as CSV; rows and columns labeled by subgroup index

@@ -40,6 +40,33 @@ def brute_fixed_trees(group: PermGroup, labels) -> set[AssemblyTree]:
             if all(act(g, tau) == tau for g in gens)}
 
 
+def set_partitions(items: tuple):
+    """Every partition of ``items`` into blocks, each a tuple."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    n_rest = len(rest)
+    for mask in range(1 << n_rest):
+        block = (first,) + tuple(rest[i] for i in range(n_rest) if mask >> i & 1)
+        remaining = tuple(rest[i] for i in range(n_rest) if not mask >> i & 1)
+        for sub in set_partitions(remaining):
+            yield (block,) + sub
+
+
+def brute_block_systems(group: PermGroup) -> list[frozenset]:
+    """Every set partition of the points, as a frozenset of blocks, that each
+    generator maps onto itself."""
+    gens = group.generators or (group.identity,)
+    systems = []
+    for blocks in set_partitions(tuple(range(1, group.degree + 1))):
+        system = frozenset(frozenset(b) for b in blocks)
+        if all(frozenset(g(x) for x in b) in system
+               for g in gens for b in system):
+            systems.append(system)
+    return systems
+
+
 def count_trees_by_partition_recursion(n: int) -> int:
     """Tree count by recursing over root set-partitions, memoized by label
     subset; independent of the EGF solver."""
@@ -51,7 +78,7 @@ def count_trees_by_partition_recursion(n: int) -> int:
         if labels in memo:
             return memo[labels]
         total = 0
-        for blocks in _partitions(labels):
+        for blocks in set_partitions(labels):
             if len(blocks) == 1:
                 continue
             product = 1
@@ -60,21 +87,6 @@ def count_trees_by_partition_recursion(n: int) -> int:
             total += product
         memo[labels] = total
         return total
-
-    def _partitions(items: tuple):
-        if not items:
-            yield ()
-            return
-        first, rest = items[0], items[1:]
-        n_rest = len(rest)
-        for mask in range(1 << n_rest):
-            block = (first,) + tuple(rest[i] for i in range(n_rest) if mask >> i & 1)
-            remaining = tuple(rest[i] for i in range(n_rest) if not mask >> i & 1)
-            if remaining:
-                for sub in _partitions(remaining):
-                    yield (block,) + sub
-            else:
-                yield (block,)
 
     return count(tuple(range(n)))
 

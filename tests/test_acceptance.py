@@ -27,7 +27,7 @@ from capsid.pathways import (burnside_pathway_total, icosahedral_report,
                              pathway_probabilities, pathway_size_distribution)
 from capsid.perms import close_generators, parse_permutation, trivial_group
 from capsid.series import fixed_tree_count, fixed_tree_series, tree_count
-from capsid.stabilizer import fixes, locate_image, pointer_traversal_audit, \
+from capsid.stabilizers import fixes, locate_image, pointer_traversal_audit, \
     stabilizer
 from capsid.trees import act, enumerate_all_trees, pointer_view
 

@@ -1,6 +1,9 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -231,6 +234,31 @@ def test_icosa_report_smoke(capsys):
     assert out.count("\n") > 80
     _, again, _ = run_cli(capsys, "icosa-report")
     assert out == again
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit cap before Python 3.11")
+@pytest.mark.filterwarnings("ignore:no published reference values")
+def test_counts_print_past_the_digit_cap(capsys):
+    # the T = 7 counts have about 1,090 digits; 640 is the lowest cap allowed
+    code, uncapped, _ = run_cli(capsys, "icosa-report", "--T", "7")
+    assert code == 0
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, capped, _ = run_cli(capsys, "icosa-report", "--T", "7")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert code == 0 and capped == uncapped
+
+
+def test_submodules_are_not_shadowed():
+    for info in pkgutil.iter_modules(capsid.__path__):
+        importlib.import_module(f"capsid.{info.name}")
+        assert isinstance(getattr(capsid, info.name), types.ModuleType), \
+            info.name
+    assert capsid.stabilizer is capsid.stabilizers.stabilizer
 
 
 def test_closed_stdout_is_quiet():

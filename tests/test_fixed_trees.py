@@ -1,5 +1,6 @@
 import pytest
 
+from capsid import fixed_trees
 from capsid.fixed_trees import (children_block_system, construction_recipes,
                                 count_fixed_trees_direct,
                                 enumerate_block_systems, distinct_blocks,
@@ -7,10 +8,10 @@ from capsid.fixed_trees import (children_block_system, construction_recipes,
                                 is_compatible)
 from capsid.perms import close_generators, parse_permutation, trivial_group
 from capsid.series import fixed_tree_count
-from capsid.stabilizer import fixes
+from capsid.stabilizers import fixes
 from capsid.trees import act, enumerate_all_trees, parse_tree
 
-from oracles import brute_fixed_trees
+from oracles import brute_block_systems, brute_fixed_trees
 
 
 def _blocks_as_sets(system):
@@ -46,12 +47,24 @@ def test_block_systems_all_compatible(k1, klein, z2_on_6):
             assert system.points == frozenset(range(1, group.degree + 1))
 
 
-def test_block_system_origins(k1):
-    for system in enumerate_block_systems(k1):
-        assert system.origins is not None
-        for block, origin in zip(system.blocks, system.origins):
-            assert block == frozenset(origin.representative(x)
-                                      for x in origin.seed)
+def test_block_systems_match_brute_force(k1, klein, z2_on_6, s3_regular, z6,
+                                        klein_on_8, z2_on_8):
+    q8 = close_generators([parse_permutation("(1 3 2 4)(5 7 6 8)", 8),
+                           parse_permutation("(1 5 2 6)(3 8 4 7)", 8)], 8)
+    assert q8.order == 8 and q8.is_simple_action()
+    for group in (k1, klein, z2_on_6, s3_regular, z6, klein_on_8, z2_on_8,
+                  trivial_group(4), q8):
+        found = [frozenset(s.blocks) for s in enumerate_block_systems(group)]
+        assert len(set(found)) == len(found)
+        assert set(found) == set(brute_block_systems(group))
+
+
+def test_block_systems_refuse_a_repeated_recipe(klein, monkeypatch):
+    recipes = list(construction_recipes(klein))
+    monkeypatch.setattr(fixed_trees, "construction_recipes",
+                        lambda group: recipes + recipes[:1])
+    with pytest.raises(RuntimeError):
+        enumerate_block_systems(klein)
 
 
 def test_block_systems_reject_non_simple():

@@ -5,7 +5,7 @@ import pytest
 
 from capsid.perms import (Permutation, close_generators, parse_permutation,
                           trivial_group)
-from capsid.stabilizer import (fixes, locate_image, pointer_traversal_audit,
+from capsid.stabilizers import (fixes, locate_image, pointer_traversal_audit,
                                stabilizer)
 from capsid.trees import act, enumerate_all_trees, parse_tree, pointer_view
 
