@@ -8,10 +8,8 @@ precision rational arithmetic.
 """
 
 from .fixed_trees import (BlockSystem, FixedTreeDiagnostics, FixedTreeRecipe,
-                          children_block_system, construction_recipes,
-                          count_fixed_trees_direct, enumerate_block_systems,
-                          generate_fixed_trees, generation_diagnostics,
-                          is_compatible)
+                          construction_recipes, count_fixed_trees_direct,
+                          enumerate_block_systems, generate_fixed_trees)
 from .lattice import SubgroupLattice, build_lattice
 from .pathways import (PathwayDistribution, SubgroupClassRow,
                        burnside_pathway_total, format_distribution,
@@ -28,8 +26,7 @@ from .series import (PowerSeries, base_tree_series, fixed_tree_count,
                      verify_functional_equation, zero_series)
 from .stabilizers import (StabilizerResult, TraversalAudit, fixes,
                           locate_image, pointer_traversal_audit, stabilizer)
-from .trees import (AssemblyTree, TreePointerView, act, count_trees,
-                    enumerate_all_trees, orbit_of_tree, parse_tree,
-                    pointer_view, set_partitions)
+from .trees import (AssemblyTree, TreePointerView, act, enumerate_all_trees,
+                    orbit_of_tree, parse_tree, pointer_view, set_partitions)
 
 __version__ = "0.1.0"

@@ -102,10 +102,9 @@ def _cmd_series(args, max_order) -> int:
     group = load_group(args.group)
     if args.order < 1:
         raise ValueError("order must be >= 1")
-    if group.order == 1:
-        ps = sr.base_tree_series(args.order)
-    else:
-        ps = sr.fixed_tree_series(_bounded(group, max_order), args.order)
+    if group.order > 1:
+        _bounded(group, max_order)
+    ps = sr.fixed_tree_series(group, args.order)
     rows = []
     for n in range(1, args.order + 1):
         row = (n, n * group.order, ps.count(n))

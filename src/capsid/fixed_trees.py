@@ -33,10 +33,6 @@ class BlockSystem:
     """A partition of the point set into blocks, closed under the action."""
     blocks: tuple[frozenset, ...]
 
-    @property
-    def points(self) -> frozenset:
-        return frozenset(itertools.chain.from_iterable(self.blocks))
-
     def sort_key(self):
         return (len(self.blocks), tuple(tuple(sorted(b)) for b in self.blocks))
 
@@ -47,13 +43,6 @@ def _make_system(blocks) -> BlockSystem:
     if len(frozenset(itertools.chain.from_iterable(blocks))) != total:
         raise ValueError("blocks overlap")
     return BlockSystem(blocks)
-
-
-def is_compatible(group: PermGroup, system: BlockSystem) -> bool:
-    """True iff every group element maps every block onto a block."""
-    block_set = set(system.blocks)
-    return all(frozenset(g(x) for x in b) in block_set
-               for g in group.elements for b in system.blocks)
 
 
 def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
@@ -77,25 +66,6 @@ def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
             raise RuntimeError("two construction recipes gave one block system")
         systems.add(system)
     return sorted(systems, key=BlockSystem.sort_key)
-
-
-def distinct_blocks(systems: list[BlockSystem]) -> set[frozenset]:
-    """The set of blocks appearing across the given systems."""
-    return {b for s in systems for b in s.blocks}
-
-
-def children_block_system(group: PermGroup, tau: AssemblyTree) -> BlockSystem:
-    """The block system formed by the root's children labels of a tree that
-    is fixed by the whole group."""
-    for g in group.elements:
-        if act(g, tau) != tau:
-            raise ValueError("tree is not fixed by the group")
-    if tau.is_leaf:
-        raise ValueError("a single-leaf tree has no root partition")
-    system = _make_system([c.labels for c in tau.children])
-    if not is_compatible(group, system):
-        raise RuntimeError("root partition of a fixed tree failed the block check")
-    return system
 
 
 # -- construction recipes and the recursive generator ---------------------
@@ -202,15 +172,6 @@ def generate_fixed_trees(group: PermGroup,
             yield tree
     if diagnostics is not None:
         diagnostics.append(FixedTreeDiagnostics(produced, len(seen)))
-
-
-def generation_diagnostics(group: PermGroup) -> FixedTreeDiagnostics:
-    """Run a full generation and report whether the uniqueness restrictions
-    alone avoided duplicates."""
-    out: list = []
-    for _ in generate_fixed_trees(group, diagnostics=out):
-        pass
-    return out[0]
 
 
 def count_fixed_trees_direct(group: PermGroup) -> int:

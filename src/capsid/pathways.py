@@ -16,12 +16,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from . import series
 from .lattice import SubgroupLattice, build_lattice
-from .perms import (PermGroup, close_generators, icosahedral_group,
-                    replicated_action)
+from .perms import PermGroup, icosahedral_group, replicated_action
 
 
 @dataclass(frozen=True)
@@ -49,15 +48,13 @@ class PathwayDistribution:
         return sum(self.per_divisor.values())
 
 
-def tbar(group: PermGroup, sub: PermGroup,
-         t: Union[Callable[[PermGroup], int], dict],
+def tbar(group: PermGroup, sub: PermGroup, t: dict[PermGroup, int],
          lat: Optional[SubgroupLattice] = None) -> int:
     """Moebius inversion at one subgroup: the number of trees fixed by sub
     and by nothing larger, given t on every supergroup."""
     if lat is None:
         lat = build_lattice(group)
-    lookup = t.__getitem__ if isinstance(t, dict) else t
-    value = sum(lat.mobius_value(sub, over) * lookup(over)
+    value = sum(lat.mobius_value(sub, over) * t[over]
                 for over in lat.interval_above(sub))
     if value < 0:
         raise ArithmeticError(
@@ -77,14 +74,12 @@ def pathway_size_distribution(group: PermGroup,
     if lat is None:
         lat = build_lattice(group)
     t_by_class = _fixed_counts_by_class(lat, leaf_count)
-
-    def t_of(sub: PermGroup) -> int:
-        return t_by_class[lat.node_class[lat.index_of(sub)]]
+    t = {sub: t_by_class[c] for sub, c in zip(lat.nodes, lat.node_class)}
 
     rows = []
     for cls, fixed in zip(lat.classes, t_by_class):
         rep = cls.representative
-        value = tbar(group, rep, t_of, lat)
+        value = tbar(group, rep, t, lat)
         rows.append(SubgroupClassRow(
             representative=rep,
             order=rep.order,
@@ -103,7 +98,7 @@ def pathway_size_distribution(group: PermGroup,
                 f"pathway count for size {m} is not integral ({total}/{m})")
         per_divisor[m] = total // m
 
-    total_trees = t_of(lat.nodes[0])
+    total_trees = t[lat.nodes[0]]
     weighted = sum(m * n for m, n in per_divisor.items())
     if weighted != total_trees:
         raise ArithmeticError(
@@ -125,8 +120,9 @@ def burnside_pathway_total(group: PermGroup) -> int:
     generates."""
     lat = build_lattice(group)
     t_by_class = _fixed_counts_by_class(lat, group.degree)
-    total = sum(t_by_class[lat.node_class[lat.index_of(
-                    close_generators([g], group.degree))]]
+    # nodes are sorted by order, so the first node holding g is <g>
+    total = sum(t_by_class[next(c for sub, c in zip(lat.nodes, lat.node_class)
+                                if g in sub)]
                 for g in group.elements)
     if total % group.order:
         raise ArithmeticError("Burnside average is not integral")

@@ -7,6 +7,11 @@ package, is
     (p * q)(x) == p(q(x))
 
 i.e. the right factor acts first.
+
+Subgroup work (census, conjugacy classes, normalizers, coset
+representatives) runs on element indices through a multiplication table
+that is composed from image tuples, without building ``Permutation``
+objects.
 """
 
 from __future__ import annotations
@@ -187,11 +192,6 @@ class PermGroup:
     def identity(self) -> Permutation:
         return self.elements[0]
 
-    @property
-    def element_key(self) -> frozenset:
-        """Canonical identity of the subgroup: the frozenset of image tuples."""
-        return self._eset
-
     def __contains__(self, perm: Permutation) -> bool:
         return perm.degree == self.degree and perm.images in self._eset
 
@@ -214,12 +214,6 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self._eset <= other._eset
 
-    def element_order_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for p in self.elements:
-            hist[p.order()] = hist.get(p.order(), 0) + 1
-        return hist
-
     # -- index machinery (internal) ---------------------------------------
 
     def _elem_index(self) -> dict:
@@ -231,15 +225,22 @@ class PermGroup:
         """table[i][j] = index of elements[i] * elements[j]."""
         if self._table is None:
             idx = self._elem_index()
-            els = self.elements
-            self._table = [[idx[(a * b).images] for b in els] for a in els]
+            imgs = [p.images for p in self.elements]
+            self._table = [[idx[tuple(a[x - 1] for x in b)] for b in imgs]
+                           for a in imgs]
         return self._table
 
     def _inv_vector(self) -> list[int]:
         if self._inverse is None:
-            idx = self._elem_index()
-            self._inverse = [idx[p.inverse().images] for p in self.elements]
+            self._inverse = [row.index(0) for row in self._mul_table()]
         return self._inverse
+
+    def _indices(self, sub: "PermGroup") -> frozenset[int]:
+        """The element indices of ``sub`` inside self."""
+        if not sub.is_subgroup_of(self):
+            raise ValueError("not a subgroup of the ambient group")
+        idx = self._elem_index()
+        return frozenset(idx[p.images] for p in sub.elements)
 
     def _subgroup_from_indices(self, indices: Iterable[int],
                                gen_indices: Iterable[int] = ()) -> "PermGroup":
@@ -336,15 +337,10 @@ class PermGroup:
         subs = self.all_subgroups()
         table = self._mul_table()
         inv = self._inv_vector()
-        idx = self._elem_index()
-        by_fs = {}
-        for sub in subs:
-            fs = frozenset(idx[p.images] for p in sub.elements)
-            by_fs[fs] = sub
+        by_fs = {self._indices(sub): sub for sub in subs}
         assigned: set[frozenset] = set()
         classes = []
-        for sub in subs:
-            fs = frozenset(idx[p.images] for p in sub.elements)
+        for fs in by_fs:
             if fs in assigned:
                 continue
             conj_fss = {
@@ -359,11 +355,9 @@ class PermGroup:
 
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """Largest subgroup of self in which ``sub`` is normal."""
-        self._require_subgroup(sub)
+        fs = self._indices(sub)
         table = self._mul_table()
         inv = self._inv_vector()
-        idx = self._elem_index()
-        fs = frozenset(idx[p.images] for p in sub.elements)
         keep = [g for g in range(self.order)
                 if frozenset(table[table[g][s]][inv[g]] for s in fs) == fs]
         return self._subgroup_from_indices(keep, keep)
@@ -371,10 +365,8 @@ class PermGroup:
     def left_coset_representatives(self, sub: "PermGroup") -> list[Permutation]:
         """One representative per left coset of ``sub``, each the
         lexicographically least element of its coset."""
-        self._require_subgroup(sub)
+        hs = self._indices(sub)
         table = self._mul_table()
-        idx = self._elem_index()
-        hs = [idx[p.images] for p in sub.elements]
         covered: set[int] = set()
         reps = []
         for i in range(self.order):
@@ -383,10 +375,6 @@ class PermGroup:
             reps.append(self.elements[i])
             covered.update(table[i][h] for h in hs)
         return reps
-
-    def _require_subgroup(self, sub: "PermGroup") -> None:
-        if not sub.is_subgroup_of(self):
-            raise ValueError("not a subgroup of the ambient group")
 
     # -- derived actions ----------------------------------------------------
 

@@ -225,9 +225,10 @@ def subgroup_summands(group: PermGroup) -> list[tuple[int, PermGroup]]:
 
 def fixed_tree_series(group: PermGroup, order: int) -> PowerSeries:
     """The EGF of t_n(G): the number of assembly trees on n*|G| leaves fixed
-    by every element of G, for a group of order > 1 acting simply."""
-    if group.order == 1:
-        raise ValueError("use base_tree_series for the trivial group")
+    by every element of G, for a group acting simply.
+
+    For the trivial group this is :func:`base_tree_series`.
+    """
     return _egf(_group_counts(group, order))
 
 
@@ -238,8 +239,6 @@ def fixed_tree_count(group: PermGroup, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if group.order == 1:
-        return tree_count(n)
     return _group_counts(group, n)[n]
 
 

@@ -250,13 +250,6 @@ def set_partitions(items: tuple, min_parts: int = 1) -> Iterator[tuple]:
                 yield (block,)
 
 
-def count_trees(n: int) -> int:
-    """Number of assembly trees on n labeled leaves, from the generating
-    function; equals the enumerator's stream length for n <= 9."""
-    from . import series
-    return series.tree_count(n)
-
-
 def orbit_of_tree(group: PermGroup, tau: AssemblyTree) -> set[AssemblyTree]:
     """The orbit {g(tau) : g in the group} as a set."""
     return {act(g, tau) for g in group.elements}

@@ -193,6 +193,22 @@ def test_group_order_bound_env(capsys, monkeypatch, ico):
     assert code == 1 and "must be an integer" in err
 
 
+def test_series_of_the_trivial_group_ignores_the_bound(capsys, monkeypatch):
+    monkeypatch.setenv("CAPSID_MAX_GROUP_ORDER", "0")
+    code, out, err = run_cli(capsys, "series", "--group", "trivial:1",
+                             "--order", "4")
+    assert (code, err) == (0, "")
+    assert out == ("n  leaves  count\n"
+                   "1       1      1\n"
+                   "2       2      1\n"
+                   "3       3      4\n"
+                   "4       4     26\n")
+    code, out, err = run_cli(capsys, "series", "--group", "cyclic:2",
+                             "--order", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: group order 2 exceeds subgroup-enumeration bound 0\n"
+
+
 def test_deep_tree_is_one_line_error(capsys):
     caterpillar = "1500"
     for leaf in range(1499, 0, -1):

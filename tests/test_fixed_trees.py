@@ -1,15 +1,12 @@
 import pytest
 
 from capsid import fixed_trees
-from capsid.fixed_trees import (children_block_system, construction_recipes,
-                                count_fixed_trees_direct,
-                                enumerate_block_systems, distinct_blocks,
-                                generate_fixed_trees, generation_diagnostics,
-                                is_compatible)
+from capsid.fixed_trees import (construction_recipes, count_fixed_trees_direct,
+                                enumerate_block_systems, generate_fixed_trees)
 from capsid.perms import close_generators, parse_permutation, trivial_group
 from capsid.series import fixed_tree_count
 from capsid.stabilizers import fixes
-from capsid.trees import act, enumerate_all_trees, parse_tree
+from capsid.trees import act
 
 from oracles import brute_block_systems, brute_fixed_trees
 
@@ -33,18 +30,11 @@ def test_seven_block_systems(k1):
     found = [_blocks_as_sets(s) for s in systems]
     for want in expected:
         assert want in found
-    assert len(distinct_blocks(systems)) == 11
+    assert len({b for s in systems for b in s.blocks}) == 11
 
 
 def test_block_systems_trivial_group():
     assert len(enumerate_block_systems(trivial_group(3))) == 5
-
-
-def test_block_systems_all_compatible(k1, klein, z2_on_6):
-    for group in (k1, klein, z2_on_6):
-        for system in enumerate_block_systems(group):
-            assert is_compatible(group, system)
-            assert system.points == frozenset(range(1, group.degree + 1))
 
 
 def test_block_systems_match_brute_force(k1, klein, z2_on_6, s3_regular, z6,
@@ -75,14 +65,12 @@ def test_block_systems_reject_non_simple():
         list(generate_fixed_trees(bad))
 
 
-def test_children_block_system(k1, klein):
-    tau = parse_tree("((1,2),3,4)")
-    system = children_block_system(k1, tau)
-    assert _blocks_as_sets(system) == [{1, 2}, {3}, {4}]
-    for fixed in generate_fixed_trees(klein):
-        assert is_compatible(klein, children_block_system(klein, fixed))
-    with pytest.raises(ValueError):
-        children_block_system(klein, tau)   # not fixed by the full group
+def test_root_partitions_are_block_systems(klein, z6, klein_on_8):
+    # the root's children of a tree fixed by the group form a block system
+    for group in (klein, z6, klein_on_8):
+        systems = set(brute_block_systems(group))
+        for tau in generate_fixed_trees(group):
+            assert frozenset(c.labels for c in tau.children) in systems
 
 
 def test_klein_fixed_trees(klein):
@@ -144,8 +132,10 @@ def test_completeness_eight_leaves(klein_on_8, z2_on_8):
 
 def test_uniqueness_filters_suffice(klein, k1, z2_on_6, s3_regular, z6, klein_on_8):
     for group in (klein, k1, z2_on_6, s3_regular, z6, klein_on_8):
-        diag = generation_diagnostics(group)
-        assert diag.uniqueness_filters_sufficed, diag
+        out: list = []
+        for _ in generate_fixed_trees(group, diagnostics=out):
+            pass
+        assert out[0].uniqueness_filters_sufficed, out[0]
 
 
 def test_icosahedral_fixed_trees_constructed_directly(ico):

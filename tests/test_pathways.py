@@ -84,6 +84,12 @@ def test_burnside(klein, z2_on_6, klein_dist):
     assert burnside_pathway_total(klein) == 11 == klein_dist.pathway_total
     assert burnside_pathway_total(z2_on_6) == \
         pathway_size_distribution(z2_on_6).pathway_total
+    # regular S4 has two classes of order-2 subgroups and two of Klein groups
+    s4_regular = close_generators([parse_permutation("(1 2 3 4)", 4),
+                                   parse_permutation("(1 2)", 4)],
+                                  4).regular_action()
+    assert burnside_pathway_total(s4_regular) == \
+        pathway_size_distribution(s4_regular).pathway_total
 
 
 def test_orbit_sizes_divide_group_order(klein_dist):

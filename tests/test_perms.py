@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -121,7 +122,7 @@ def test_all_subgroups_lagrange(klein, s3, z6):
 
 def test_all_subgroups_exactly_once(s3):
     subs = s3.all_subgroups()
-    assert len({s.element_key for s in subs}) == len(subs) == 6
+    assert len(set(subs)) == len(subs) == 6
 
 
 def test_icosahedral_census(ico):
@@ -140,7 +141,26 @@ def test_conjugacy_classes(klein, ico):
     assert len(trivial_group(1).conjugacy_classes_of_subgroups()) == 1
     # classes partition the subgroups
     members = [m for c in classes for m in c.members]
-    assert len(members) == 59 == len({m.element_key for m in members})
+    assert len(members) == 59 == len(set(members))
+
+
+def test_census_when_the_first_point_does_not_separate_elements():
+    s4 = close_generators([parse_permutation("(1 2 3 4)", 4),
+                           parse_permutation("(1 2)", 4)], 4)
+    assert len(s4.all_subgroups()) == 30
+    assert len(s4.conjugacy_classes_of_subgroups()) == 11
+    v4 = close_generators([parse_permutation("(1 2)(3 4)", 4),
+                           parse_permutation("(1 3)(2 4)", 4)], 4)
+    assert s4.normalizer(v4) == s4
+    assert len(s4.left_coset_representatives(v4)) == 6
+    # the square's symmetries on its 4 vertices and 4 edges
+    d4 = close_generators([parse_permutation("(1 2 3 4)(5 6 7 8)", 8),
+                           parse_permutation("(2 4)(5 8)(6 7)", 8)], 8)
+    assert d4.order == 8
+    assert len(d4.all_subgroups()) == 10
+    assert len(d4.conjugacy_classes_of_subgroups()) == 8
+    c3 = close_generators([parse_permutation("(3 4 5)", 5)], 5)
+    assert len(c3.all_subgroups()) == 2
 
 
 def test_conjugate_subgroups_same_order(ico):
@@ -168,6 +188,11 @@ def test_normalizer(klein, ico):
 def test_normalizer_requires_subgroup(klein, s3):
     with pytest.raises(ValueError):
         klein.normalizer(s3)
+    transposition = close_generators([parse_permutation("(1 2)", 4)], 4)
+    with pytest.raises(ValueError):
+        klein.normalizer(transposition)
+    with pytest.raises(ValueError):
+        klein.left_coset_representatives(transposition)
 
 
 def test_left_coset_representatives(klein, ico):
@@ -221,7 +246,7 @@ def test_regular_action(klein, s3):
 
 def test_icosahedral_element_orders(ico):
     assert ico.order == 60
-    assert ico.element_order_histogram() == {1: 1, 2: 15, 3: 20, 5: 24}
+    assert Counter(p.order() for p in ico) == {1: 1, 2: 15, 3: 20, 5: 24}
     assert ico.is_simple_action() and len(ico.orbits()) == 1
 
 

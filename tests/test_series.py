@@ -127,8 +127,8 @@ def test_fixed_tree_count_examples(klein, k1, z2_on_6):
 
 def test_trivial_group_routed_to_base():
     assert fixed_tree_count(trivial_group(1), 6) == 2752
-    with pytest.raises(ValueError):
-        fixed_tree_series(trivial_group(1), 4)
+    for n in (1, 4, 9):
+        assert fixed_tree_series(trivial_group(1), n) == base_tree_series(n)
 
 
 def test_counts_shared_between_isomorphic_groups(k1, z2_on_6, z2_on_8):
