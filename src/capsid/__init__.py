@@ -27,6 +27,6 @@ from .series import (PowerSeries, base_tree_series, fixed_tree_count,
 from .stabilizers import (StabilizerResult, TraversalAudit, fixes,
                           locate_image, pointer_traversal_audit, stabilizer)
 from .trees import (AssemblyTree, TreePointerView, act, enumerate_all_trees,
-                    orbit_of_tree, parse_tree, pointer_view, set_partitions)
+                    parse_tree, pointer_view, set_partitions)
 
 __version__ = "0.1.0"

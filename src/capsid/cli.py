@@ -129,6 +129,9 @@ def _cmd_icosa_report(args, max_order) -> int:
     if args.T < 1:
         raise ValueError("T must be >= 1")
     _bounded(icosahedral_group(), max_order)
+    if args.T != 1:
+        print("warning: no published reference values exist for T != 1",
+              file=sys.stderr)
     dist = pw.icosahedral_report(args.T)
     sys.stdout.write(pw.format_distribution(dist))
     print()

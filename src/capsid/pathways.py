@@ -13,7 +13,6 @@ rather than rounding.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -154,13 +153,10 @@ def icosahedral_report(t_number: int = 1) -> PathwayDistribution:
     acting simply on 60 * T facets.
 
     Only T=1 has published reference values; other T are computed with the
-    same machinery but carry a warning.
+    same machinery.
     """
     if t_number < 1:
         raise ValueError("T must be >= 1")
-    if t_number != 1:
-        warnings.warn("no published reference values exist for T != 1",
-                      stacklevel=2)
     group = icosahedral_group()
     if t_number > 1:
         group = replicated_action(group, t_number)

@@ -57,11 +57,6 @@ class PowerSeries:
     def counts(self) -> list[int]:
         return [self.count(n) for n in range(self.order + 1)]
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a series by truncation")
-        return PowerSeries(order, self.coefficients[:order + 1])
-
 
 def zero_series(order: int) -> PowerSeries:
     return PowerSeries(order, (Fraction(0),) * (order + 1))

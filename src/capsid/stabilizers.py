@@ -1,11 +1,14 @@
 """Deciding whether a permutation fixes an assembly tree, and computing the
 stabilizer of a tree inside a group.
 
-The image-location routine works bottom-up on the pointer structure, in
-place: a leaf follows its g-pointer; an internal vertex succeeds when its
-children's images share a common parent, which is then its own image.  Each
-pointer is followed at most once, so one run costs linear time in the number
-of leaves; the traversal audit makes that checkable.
+The image-location routine works bottom-up on the pointer structure, whose
+vertices are postorder integers and whose pointers and traversal counters
+are flat lists: one loop over a subtree's postorder range visits every
+vertex after its children.  A leaf follows its g-pointer; an internal vertex
+succeeds when its children's images share a common parent with as many
+children, which is then its own image.  Each pointer is followed at most
+once, so one run costs linear time in the number of leaves and needs no
+recursion; the traversal audit makes that checkable.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .perms import PermGroup, Permutation, close_generators
-from .trees import AssemblyTree, PointerVertex, TreePointerView, pointer_view
+from .trees import AssemblyTree, TreePointerView, pointer_view
 
 
 @dataclass(frozen=True)
@@ -60,59 +63,68 @@ class TraversalAudit:
                 and self.total_traversals <= self.linear_bound)
 
 
-def locate_image(view: TreePointerView, v: PointerVertex) -> Optional[PointerVertex]:
+def locate_image(view: TreePointerView, v: int) -> Optional[int]:
     """The vertex w such that the permutation maps the subtree at v
     isomorphically onto the subtree at w, or None if no such vertex exists.
 
-    Leaves follow their g-pointer; an internal vertex succeeds exactly when
-    all of its children's images share one parent, which is returned.
+    Walks the postorder range of v's subtree once.  A leaf's image is its
+    g-pointer; an internal vertex follows each child pointer and then the
+    parent pointer of that child's image, and succeeds exactly when those
+    parents are one vertex with as many children, which is its image.
     """
-    if v.is_leaf:
-        return v.follow_g()
-    w = None
-    for i in range(len(v.children)):
-        child = v.child(i)
-        image = locate_image(view, child)
-        if image is None or image.parent is None:
-            return None
-        parent = image.follow_parent()
-        if w is None:
-            w = parent
-        elif parent is not w:
-            return None
-    return w
+    children, parent, g_target = view.children, view.parent, view.g_target
+    child_count, parent_count, g_count = (view.child_count, view.parent_count,
+                                          view.g_count)
+    lo = view.first[v]
+    image = []  # image[u - lo] for each vertex u of the range done so far
+    for u in range(lo, v + 1):
+        kids = children[u]
+        if not kids:
+            g_count[u] += 1
+            w = g_target[u]
+            if w is None:
+                return None
+        else:
+            w = None
+            for c in kids:
+                child_count[c] += 1
+                c_image = image[c - lo]
+                p = parent[c_image]
+                if p is None:
+                    return None
+                parent_count[c_image] += 1
+                if w is None:
+                    w = p
+                elif p != w:
+                    return None
+            if len(children[w]) != len(kids):
+                return None
+        image.append(w)
+    return image[-1]
 
 
 def fixes(g: Permutation, tau: AssemblyTree) -> bool:
     """True iff g fixes tau, decided on the pointer structure."""
     view = pointer_view(tau, g)
-    return locate_image(view, view.root) is view.root
+    return locate_image(view, view.root) == view.root
 
 
 def pointer_traversal_audit(view: TreePointerView) -> TraversalAudit:
-    """Counter report for a view after a locate_image run from the root."""
-    child_counts: list[int] = []
-    parent_counts: list[int] = []
-    g_counts: list[int] = []
-    leaf_count = 0
-    vertex_count = 0
-    for v in view.vertices():
-        vertex_count += 1
-        child_counts.extend(v.child_counts)
-        if v.parent is not None:
-            parent_counts.append(v.parent_count)
-        if v.is_leaf:
-            leaf_count += 1
-            g_counts.append(v.g_count)
+    """Counter report for a view after a locate_image run from the root.
+
+    The root's child and parent counters and every internal vertex's
+    g-counter stay 0, so whole-list sums and maxima are those of the
+    pointers that exist.
+    """
     return TraversalAudit(
-        leaf_count=leaf_count,
-        vertex_count=vertex_count,
-        child_traversals=sum(child_counts),
-        parent_traversals=sum(parent_counts),
-        g_traversals=sum(g_counts),
-        max_child=max(child_counts, default=0),
-        max_parent=max(parent_counts, default=0),
-        max_g=max(g_counts, default=0),
+        leaf_count=len(view.leaves),
+        vertex_count=len(view.parent),
+        child_traversals=sum(view.child_count),
+        parent_traversals=sum(view.parent_count),
+        g_traversals=sum(view.g_count),
+        max_child=max(view.child_count),
+        max_parent=max(view.parent_count),
+        max_g=max(view.g_count),
     )
 
 

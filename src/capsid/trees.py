@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional
 
-from .perms import PermGroup, Permutation
+from .perms import Permutation
 
 ENUMERATION_SIZE_BOUND = 9
 
@@ -60,12 +60,6 @@ class AssemblyTree:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def leaf_label(self) -> int:
-        if self.children:
-            raise ValueError("not a leaf")
-        return self.min_label
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -85,30 +79,6 @@ class AssemblyTree:
         if self.is_leaf:
             return str(self.min_label)
         return "(" + ",".join(c.to_text() for c in self.children) + ")"
-
-    def vertices(self) -> Iterator["AssemblyTree"]:
-        """All vertices (as subtrees), preorder."""
-        yield self
-        for c in self.children:
-            yield from c.vertices()
-
-    def internal_vertices(self) -> Iterator["AssemblyTree"]:
-        return (v for v in self.vertices() if not v.is_leaf)
-
-    def vertex_labels(self) -> set[frozenset]:
-        return {v.labels for v in self.vertices()}
-
-    def subtree_with_labels(self, labels: frozenset) -> Optional["AssemblyTree"]:
-        """The vertex carrying exactly this label set, or None."""
-        if self.labels == labels:
-            return self
-        for c in self.children:
-            if labels <= c.labels:
-                return c.subtree_with_labels(labels)
-        return None
-
-    def leaf_count(self) -> int:
-        return len(self.labels)
 
 
 def parse_tree(text: str) -> AssemblyTree:
@@ -250,55 +220,21 @@ def set_partitions(items: tuple, min_parts: int = 1) -> Iterator[tuple]:
                 yield (block,)
 
 
-def orbit_of_tree(group: PermGroup, tau: AssemblyTree) -> set[AssemblyTree]:
-    """The orbit {g(tau) : g in the group} as a set."""
-    return {act(g, tau) for g in group.elements}
-
-
 # -- pointer data structure ---------------------------------------------------
 
-class PointerVertex:
-    """A vertex of a :class:`TreePointerView`.
-
-    Carries child pointers, a parent pointer, and (for leaves) the g-pointer;
-    labels are not stored except at the leaves.  Every pointer has a traversal
-    counter, incremented by the ``child`` / ``follow_parent`` / ``follow_g``
-    accessors.
-    """
-
-    __slots__ = ("children", "child_counts", "parent", "parent_count",
-                 "leaf_label", "g_target", "g_count")
-
-    def __init__(self, leaf_label: Optional[int] = None):
-        self.children: tuple["PointerVertex", ...] = ()
-        self.child_counts: list[int] = []
-        self.parent: Optional["PointerVertex"] = None
-        self.parent_count = 0
-        self.leaf_label = leaf_label
-        self.g_target: Optional["PointerVertex"] = None
-        self.g_count = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_label is not None
-
-    def child(self, i: int) -> "PointerVertex":
-        self.child_counts[i] += 1
-        return self.children[i]
-
-    def follow_parent(self) -> Optional["PointerVertex"]:
-        self.parent_count += 1
-        return self.parent
-
-    def follow_g(self) -> Optional["PointerVertex"]:
-        self.g_count += 1
-        return self.g_target
-
-
 class TreePointerView:
-    """The pointer structure for one (tree, permutation) pair: child and
-    parent pointers for every vertex, and a g-pointer at each leaf pointing
-    at the leaf labeled g(u).
+    """The pointer structure for one (tree, permutation) pair, as flat lists
+    indexed by vertex.
+
+    Vertices are numbered in postorder, so the root is last and the subtree
+    at v is the range ``first[v]..v``.  ``children[v]`` and ``parent[v]``
+    (None at the root) are the child and parent pointers; labels are stored
+    only at the leaves (``leaf_label[v]``, None elsewhere), and the g-pointer
+    ``g_target[v]`` of a leaf labeled u is the leaf labeled g(u), or None
+    when g(u) is not a leaf.  Each pointer has a traversal counter: ``child_count[c]``
+    for the pointer from c's parent to c, ``parent_count[c]`` for c's parent
+    pointer and ``g_count[v]`` for a leaf's g-pointer.  ``leaves`` maps each
+    label to its leaf.
 
     Traversal counters make a view single-use and single-threaded; build one
     view per run.
@@ -307,32 +243,33 @@ class TreePointerView:
     def __init__(self, tau: AssemblyTree, g: Permutation):
         if g.degree < max(tau.labels):
             raise ValueError("permutation degree does not cover the leaf labels")
-        self.tree = tau
-        self.permutation = g
-        self.leaves: dict[int, PointerVertex] = {}
-        self.root = self._build(tau)
-        for label, leaf in self.leaves.items():
-            leaf.g_target = self.leaves.get(g(label))
-
-    def _build(self, node: AssemblyTree) -> PointerVertex:
-        if node.is_leaf:
-            v = PointerVertex(leaf_label=node.leaf_label)
-            self.leaves[node.leaf_label] = v
-            return v
-        v = PointerVertex()
-        kids = tuple(self._build(c) for c in node.children)
-        v.children = kids
-        v.child_counts = [0] * len(kids)
-        for k in kids:
-            k.parent = v
-        return v
-
-    def vertices(self) -> Iterator[PointerVertex]:
-        stack = [self.root]
+        nodes = []
+        stack = [tau]
         while stack:
-            v = stack.pop()
-            yield v
-            stack.extend(reversed(v.children))
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children)
+        nodes.reverse()  # postorder: each subtree in order, then its root
+        index = {id(node): v for v, node in enumerate(nodes)}
+        n = len(nodes)
+        self.root = n - 1
+        self.children = [[index[id(c)] for c in node.children] for node in nodes]
+        self.parent: list[Optional[int]] = [None] * n
+        self.first = list(range(n))
+        for v, kids in enumerate(self.children):
+            for c in kids:
+                self.parent[c] = v
+            if kids:
+                self.first[v] = self.first[kids[0]]
+        self.leaf_label = [None if node.children else node.min_label
+                           for node in nodes]
+        self.leaves = {label: v for v, label in enumerate(self.leaf_label)
+                       if label is not None}
+        self.g_target = [None if label is None else self.leaves.get(g(label))
+                         for label in self.leaf_label]
+        self.child_count = [0] * n
+        self.parent_count = [0] * n
+        self.g_count = [0] * n
 
 
 def pointer_view(tau: AssemblyTree, g: Permutation) -> TreePointerView:

@@ -16,6 +16,16 @@ from capsid.perms import PermGroup, Permutation
 from capsid.trees import AssemblyTree, act, enumerate_all_trees
 
 
+def vertices(tau: AssemblyTree) -> list[AssemblyTree]:
+    """Every vertex of tau, as a subtree, in preorder."""
+    found, stack = [], [tau]
+    while stack:
+        v = stack.pop()
+        found.append(v)
+        stack.extend(reversed(v.children))
+    return found
+
+
 def brute_stabilizer(group: PermGroup, tau: AssemblyTree) -> list[Permutation]:
     return [g for g in group.elements if act(g, tau) == tau]
 

@@ -252,9 +252,16 @@ def test_icosa_report_smoke(capsys):
     assert out == again
 
 
+def test_icosa_report_warns_off_t1(capsys):
+    code, _, err = run_cli(capsys, "icosa-report", "--T", "2")
+    assert code == 0
+    assert err == "warning: no published reference values exist for T != 1\n"
+    code, _, err = run_cli(capsys, "icosa-report", "--T", "1")
+    assert code == 0 and err == ""
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit cap before Python 3.11")
-@pytest.mark.filterwarnings("ignore:no published reference values")
 def test_counts_print_past_the_digit_cap(capsys):
     # the T = 7 counts have about 1,090 digits; 640 is the lowest cap allowed
     code, uncapped, _ = run_cli(capsys, "icosa-report", "--T", "7")

@@ -8,7 +8,7 @@ from capsid.series import fixed_tree_count
 from capsid.stabilizers import fixes
 from capsid.trees import act
 
-from oracles import brute_block_systems, brute_fixed_trees
+from oracles import brute_block_systems, brute_fixed_trees, vertices
 
 
 def _blocks_as_sets(system):
@@ -174,9 +174,10 @@ def test_subtree_translation_consistency(klein, z2_on_6):
     # below block Q
     for group in (klein, z2_on_6):
         for tau in generate_fixed_trees(group):
+            by_labels = {v.labels: v for v in vertices(tau)}
             for g in group.elements:
                 for child in tau.children:
                     image_labels = frozenset(g(x) for x in child.labels)
-                    target = tau.subtree_with_labels(image_labels)
+                    target = by_labels.get(image_labels)
                     assert target is not None
                     assert act(g, child) == target

@@ -136,16 +136,14 @@ def test_icosahedral_global_identity():
     assert dist.per_divisor[2] == dist.per_divisor[3] == dist.per_divisor[4] == 0
 
 
-def test_nontrivial_t_number_warns():
-    with pytest.warns(UserWarning):
-        dist = icosahedral_report(2)
+def test_nontrivial_t_number():
+    dist = icosahedral_report(2)
     assert dist.leaf_count == 120
     assert sum(m * n for m, n in dist.per_divisor.items()) == dist.total_trees
 
 
 def test_t7_total_matches_integer_oracle():
-    with pytest.warns(UserWarning):
-        dist = icosahedral_report(7)
+    dist = icosahedral_report(7)
     expected = count_trees_by_recurrence(420)
     assert dist.total_trees == expected
     assert sum(row.class_size * row.exact_count

@@ -7,9 +7,10 @@ from capsid.perms import (Permutation, close_generators, parse_permutation,
                           trivial_group)
 from capsid.stabilizers import (fixes, locate_image, pointer_traversal_audit,
                                stabilizer)
-from capsid.trees import act, enumerate_all_trees, parse_tree, pointer_view
+from capsid.trees import (AssemblyTree, act, enumerate_all_trees, parse_tree,
+                          pointer_view)
 
-from oracles import brute_stabilizer, random_permutation, random_tree
+from oracles import brute_stabilizer, random_permutation, random_tree, vertices
 
 
 @pytest.fixture
@@ -26,8 +27,8 @@ def test_fixes_examples(example_tree):
 def test_locate_image_on_vertices(example_tree):
     g = parse_permutation("(1 2)(3 4)", 4)
     view = pointer_view(example_tree, g)
-    assert locate_image(view, view.leaves[1]) is view.leaves[2]
-    assert locate_image(view, view.root) is view.root
+    assert locate_image(view, view.leaves[1]) == view.leaves[2]
+    assert locate_image(view, view.root) == view.root
     h = parse_permutation("(1 4)(2 3)", 4)
     view_h = pointer_view(example_tree, h)
     assert locate_image(view_h, view_h.root) is None
@@ -37,9 +38,34 @@ def test_locate_image_internal_vertex():
     tau = parse_tree("((1,2),(3,4))")
     g = parse_permutation("(1 3)(2 4)", 4)
     view = pointer_view(tau, g)
-    cherry12 = view.root.children[0]
-    located = locate_image(view, cherry12)
-    assert located is view.root.children[1]
+    cherry12, cherry34 = view.children[view.root]
+    assert locate_image(view, cherry12) == cherry34
+
+
+def test_locate_image_is_the_isomorphic_image_at_every_vertex():
+    # the image of the subtree at v is the vertex carrying the g-image of its
+    # leaf set, and only when g maps the subtree onto that vertex's subtree
+    rng = random.Random(61)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        tau = random_tree(rng, range(1, n + 1))
+        g = random_permutation(rng, n)
+        subtree = {v.labels: v for v in vertices(tau)}
+        probe = pointer_view(tau, g)
+        vertex = {}
+        for v in range(len(probe.parent)):
+            leaves = {probe.leaf_label[u]
+                      for u in range(probe.first[v], v + 1)} - {None}
+            vertex[frozenset(leaves)] = v
+        assert vertex.keys() == subtree.keys()
+        for labels, v in vertex.items():
+            image = frozenset(g(x) for x in labels)
+            expected = None
+            if image in subtree and act(g, subtree[labels]) == subtree[image]:
+                expected = vertex[image]
+            view = pointer_view(tau, g)
+            assert locate_image(view, v) == expected
+            assert pointer_traversal_audit(view).each_pointer_at_most_once
 
 
 def test_fixes_agrees_with_action_randomized():
@@ -84,11 +110,13 @@ def test_children_image_characterization():
         tau = random_tree(rng, range(1, n + 1))
         g = random_permutation(rng, n)
         label_to_parent = {}
-        for v in tau.vertices():
+        for v in vertices(tau):
             for c in v.children:
                 label_to_parent[c.labels] = v.labels
         ok = True
-        for v in tau.internal_vertices():
+        for v in vertices(tau):
+            if v.is_leaf:
+                continue
             images = [frozenset(g(x) for x in c.labels) for c in v.children]
             parents = {label_to_parent.get(img) for img in images}
             if None in parents or len(parents) != 1:
@@ -202,3 +230,16 @@ def test_audit_randomized():
         view = pointer_view(tau, g)
         locate_image(view, view.root)
         assert pointer_traversal_audit(view).ok
+
+
+def test_fixes_on_a_deep_caterpillar():
+    # 2,000 leaves nested 1,999 deep, far past the interpreter's recursion
+    # limit
+    tau = AssemblyTree.leaf(1)
+    for label in range(2, 2001):
+        tau = AssemblyTree.node([tau, AssemblyTree.leaf(label)])
+    assert fixes(Permutation.identity(2000), tau)
+    assert fixes(parse_permutation("(1 2)", 2000), tau)
+    assert not fixes(parse_permutation("(1 3)", 2000), tau)
+    group = close_generators([parse_permutation("(1 2)", 2000)], 2000)
+    assert stabilizer(group, tau).order == 2

@@ -5,13 +5,12 @@ import pytest
 
 from capsid.perms import Permutation, parse_permutation, trivial_group
 from capsid.series import tree_count
-from capsid.trees import (AssemblyTree, act, enumerate_all_trees,
-                          orbit_of_tree, parse_tree, pointer_view,
-                          set_partitions)
+from capsid.trees import (AssemblyTree, act, enumerate_all_trees, parse_tree,
+                          pointer_view, set_partitions)
 
 from oracles import (brute_stabilizer, count_trees_by_partition_recursion,
                      count_trees_by_recurrence, random_permutation,
-                     random_tree)
+                     random_tree, vertices)
 
 TOTAL_COUNTS = {1: 1, 2: 1, 3: 4, 4: 26, 5: 236, 6: 2752, 7: 39208,
                 8: 660032, 9: 12818912}
@@ -78,8 +77,8 @@ def test_act_vertex_label_definition():
         tau = random_tree(rng, range(1, rng.randint(2, 9)))
         g = random_permutation(rng, max(tau.labels))
         image = act(g, tau)
-        expected = {frozenset(g(x) for x in v) for v in tau.vertex_labels()}
-        assert image.vertex_labels() == expected
+        expected = {frozenset(g(x) for x in v.labels) for v in vertices(tau)}
+        assert {v.labels for v in vertices(image)} == expected
 
 
 def test_serialization_round_trip():
@@ -167,15 +166,15 @@ def test_set_partitions():
 
 def test_orbit_of_tree(klein):
     tau = parse_tree("((1,2),(3,4))")
-    orbit = orbit_of_tree(klein, tau)
+    orbit = {act(g, tau) for g in klein.elements}
     stab = brute_stabilizer(klein, tau)
     assert len(orbit) * len(stab) == klein.order
-    assert orbit_of_tree(trivial_group(4), tau) == {tau}
+    assert {act(g, tau) for g in trivial_group(4).elements} == {tau}
 
 
 def test_orbit_stabilizer_for_all_26(klein):
     for tau in enumerate_all_trees(range(1, 5)):
-        orbit = orbit_of_tree(klein, tau)
+        orbit = {act(g, tau) for g in klein.elements}
         stab = brute_stabilizer(klein, tau)
         assert len(orbit) * len(stab) == 4
 
@@ -185,7 +184,7 @@ def test_klein_pathway_count(klein):
     orbits = 0
     for tau in enumerate_all_trees(range(1, 5)):
         if tau not in seen:
-            seen |= orbit_of_tree(klein, tau)
+            seen |= {act(g, tau) for g in klein.elements}
             orbits += 1
     assert orbits == 11
 
@@ -203,20 +202,20 @@ def test_pointer_view_structure():
     tau = parse_tree("((1,2),3,4)")
     g = parse_permutation("(1 2)(3 4)", 4)
     view = pointer_view(tau, g)
-    vertices = list(view.vertices())
-    assert sum(1 for v in vertices if v.is_leaf) == 4
-    for v in vertices:
-        for child in v.children:
-            assert child.parent is v
-    assert view.leaves[1].g_target is view.leaves[2]
-    assert view.leaves[3].g_target is view.leaves[4]
-    assert view.root.parent is None
+    # postorder: the cherry's leaves, the cherry, the other leaves, the root;
     # labels are not stored except at the leaves
-    assert view.root.leaf_label is None
+    assert view.leaf_label == [1, 2, None, 3, 4, None]
+    assert view.children == [[], [], [0, 1], [], [], [2, 3, 4]]
+    assert view.parent == [2, 2, 5, 5, 5, None]
+    assert view.first == [0, 1, 0, 3, 4, 0]
+    assert view.root == 5
+    assert view.leaves == {1: 0, 2: 1, 3: 3, 4: 4}
+    assert view.g_target == [1, 0, None, 4, 3, None]
+    assert view.child_count == view.parent_count == view.g_count == [0] * 6
 
 
 def test_pointer_view_non_invariant_leaf_set():
     tau = parse_tree("(1,2,3)")
     g = parse_permutation("(3 4)", 4)
     view = pointer_view(tau, g)
-    assert view.leaves[3].g_target is None
+    assert view.g_target[view.leaves[3]] is None
