@@ -8,7 +8,9 @@ vertex after its children.  A leaf follows its g-pointer; an internal vertex
 succeeds when its children's images share a common parent with as many
 children, which is then its own image.  Each pointer is followed at most
 once, so one run costs linear time in the number of leaves and needs no
-recursion; the traversal audit makes that checkable.
+recursion; the traversal audit makes that checkable.  The stabilizer
+builds one pointer structure per call, re-aims it at each element it
+tests, and tests only elements that pass the ancestor-size test below.
 """
 
 from __future__ import annotations
@@ -134,8 +136,10 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
 
     Scans the group elements in increasing order, skipping those already in
     the closure of the fixing elements found so far and adding each other
-    element that fixes tau; the skipped closure makes the scan touch far
-    fewer trees than |G| when the stabilizer is large.
+    element that fixes tau, tested on a view re-aimed from one shape built
+    per call.  Elements failing the ancestor-size test (a fixer maps the
+    smallest leaf's root path onto its image's with equal subtree sizes)
+    are skipped untested, so the generators are those of the plain scan.
     """
     leaf_set = tau.labels
     if max(leaf_set) > group.degree:
@@ -144,10 +148,19 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
         if any(g(x) not in leaf_set for x in leaf_set):
             raise ValueError("leaf set mismatch: the group does not act on the leaf set")
 
+    base = TreePointerView(tau, group.identity)
+    parent, first = base.parent, base.first
+    chain, chains = [0] * len(parent), {}  # chain[v] numbers the sizes along root..v
+    for v in reversed(range(base.root)):  # parents before children
+        chain[v] = chains.setdefault((chain[parent[v]], v - first[v]), len(chains) + 1)
+    key = chain[base.leaves[tau.min_label]]
+    candidates = {label for label, v in base.leaves.items() if chain[v] == key}
     gens: list[Permutation] = [group.identity]
     closure = close_generators(gens, group.degree)
     for g in group.elements:
-        if g not in closure and fixes(g, tau):
-            gens.append(g)
-            closure = close_generators(gens, group.degree)
+        if g.images[tau.min_label - 1] in candidates and g not in closure:
+            view = base.with_permutation(g)
+            if locate_image(view, view.root) == view.root:
+                gens.append(g)
+                closure = close_generators(gens, group.degree)
     return StabilizerResult(tuple(gens), closure)

@@ -12,6 +12,7 @@ rest of the package is tested against.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import Iterable, Iterator, Optional
 
@@ -226,23 +227,21 @@ class TreePointerView:
     """The pointer structure for one (tree, permutation) pair, as flat lists
     indexed by vertex.
 
-    Vertices are numbered in postorder, so the root is last and the subtree
-    at v is the range ``first[v]..v``.  ``children[v]`` and ``parent[v]``
-    (None at the root) are the child and parent pointers; labels are stored
-    only at the leaves (``leaf_label[v]``, None elsewhere), and the g-pointer
-    ``g_target[v]`` of a leaf labeled u is the leaf labeled g(u), or None
-    when g(u) is not a leaf.  Each pointer has a traversal counter: ``child_count[c]``
-    for the pointer from c's parent to c, ``parent_count[c]`` for c's parent
-    pointer and ``g_count[v]`` for a leaf's g-pointer.  ``leaves`` maps each
-    label to its leaf.
-
-    Traversal counters make a view single-use and single-threaded; build one
-    view per run.
+    The shape, shared with every view that ``with_permutation`` makes from
+    this one: vertices are numbered in postorder, so the root is last and
+    the subtree at v is the range ``first[v]..v``; ``children[v]`` and
+    ``parent[v]`` (None at the root) are the child and parent pointers;
+    labels are stored only at the leaves (``leaf_label[v]``, None
+    elsewhere), and ``leaves`` maps each label to its leaf.  The aim, each
+    view's own: the g-pointer ``g_target[v]`` of a leaf labeled u is the
+    leaf labeled g(u), or None when g(u) is not a leaf, and each pointer has
+    a traversal counter: ``child_count[c]`` for the pointer from c's parent
+    to c, ``parent_count[c]`` for c's parent pointer and ``g_count[v]`` for
+    a leaf's g-pointer.  The counters make a view single-use and
+    single-threaded; take a fresh view, built or re-aimed, for each run.
     """
 
     def __init__(self, tau: AssemblyTree, g: Permutation):
-        if g.degree < max(tau.labels):
-            raise ValueError("permutation degree does not cover the leaf labels")
         nodes = []
         stack = [tau]
         while stack:
@@ -261,15 +260,25 @@ class TreePointerView:
                 self.parent[c] = v
             if kids:
                 self.first[v] = self.first[kids[0]]
-        self.leaf_label = [None if node.children else node.min_label
-                           for node in nodes]
+        self.leaf_label = [None if node.children else node.min_label for node in nodes]
         self.leaves = {label: v for v, label in enumerate(self.leaf_label)
                        if label is not None}
-        self.g_target = [None if label is None else self.leaves.get(g(label))
+        self._aim(g)
+
+    def with_permutation(self, g: Permutation) -> "TreePointerView":
+        """A fresh view of the same tree under g; this view is untouched."""
+        return copy.copy(self)._aim(g)
+
+    def _aim(self, g: Permutation) -> "TreePointerView":
+        if g.degree < max(self.leaves):
+            raise ValueError("permutation degree does not cover the leaf labels")
+        images, leaves, n = g.images, self.leaves, len(self.parent)
+        self.g_target = [None if label is None else leaves.get(images[label - 1])
                          for label in self.leaf_label]
         self.child_count = [0] * n
         self.parent_count = [0] * n
         self.g_count = [0] * n
+        return self
 
 
 def pointer_view(tau: AssemblyTree, g: Permutation) -> TreePointerView:

@@ -7,8 +7,8 @@ from capsid.perms import (Permutation, close_generators, parse_permutation,
                           trivial_group)
 from capsid.stabilizers import (fixes, locate_image, pointer_traversal_audit,
                                stabilizer)
-from capsid.trees import (AssemblyTree, act, enumerate_all_trees, parse_tree,
-                          pointer_view)
+from capsid.trees import (AssemblyTree, TreePointerView, act,
+                          enumerate_all_trees, parse_tree, pointer_view)
 
 from oracles import brute_stabilizer, random_permutation, random_tree, vertices
 
@@ -243,3 +243,83 @@ def test_fixes_on_a_deep_caterpillar():
     assert not fixes(parse_permutation("(1 3)", 2000), tau)
     group = close_generators([parse_permutation("(1 2)", 2000)], 2000)
     assert stabilizer(group, tau).order == 2
+
+
+def test_reaimed_view_matches_a_fresh_view():
+    rng = random.Random(67)
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        tau = random_tree(rng, range(1, n + 1))
+        g = random_permutation(rng, n)
+        base = pointer_view(tau, Permutation.identity(n))
+        base_targets = list(base.g_target)
+        for v in range(len(base.parent)):
+            view = base.with_permutation(g)
+            assert view.child_count == view.parent_count == view.g_count \
+                == [0] * len(base.parent)
+            assert locate_image(view, v) == locate_image(pointer_view(tau, g), v)
+        view, fresh = base.with_permutation(g), pointer_view(tau, g)
+        locate_image(view, view.root)
+        locate_image(fresh, fresh.root)
+        assert pointer_traversal_audit(view) == pointer_traversal_audit(fresh)
+        assert base.g_target == base_targets
+        assert not any(base.child_count + base.parent_count + base.g_count)
+
+
+def test_reaimed_view_checks_the_degree():
+    base = pointer_view(parse_tree("((1,2),3,4)"), Permutation.identity(4))
+    with pytest.raises(ValueError, match="does not cover the leaf labels"):
+        base.with_permutation(Permutation.identity(3))
+
+
+def _symmetric_tree(group, rng):
+    """A tree fixed by <a> for a random element a: the root's children are
+    the <a>-orbits of the points, each a star (or a leaf)."""
+    sub = close_generators([rng.choice(group.elements)], group.degree)
+    return AssemblyTree.node(
+        AssemblyTree.node(AssemblyTree.leaf(x) for x in orbit)
+        if len(orbit) > 1 else AssemblyTree.leaf(orbit[0])
+        for orbit in sub.orbits())
+
+
+def _check_against_oracles(group, tau):
+    result = stabilizer(group, tau)
+    assert set(result.group.elements) == set(brute_stabilizer(group, tau))
+    assert result.generators == _greedy_generators(group, tau)
+
+
+def test_candidate_test_on_the_natural_action_of_s4():
+    s4 = close_generators([parse_permutation("(1 2 3 4)", 4),
+                           parse_permutation("(1 2)", 4)], 4)
+    trees = list(enumerate_all_trees(range(1, 5)))
+    assert len(trees) == 26
+    for tau in trees:
+        _check_against_oracles(s4, tau)
+
+
+@pytest.mark.slow
+def test_candidate_test_on_eight_points(klein_on_8, z2_on_8):
+    for tau in itertools.islice(enumerate_all_trees(range(1, 9)), 0, None, 7):
+        _check_against_oracles(klein_on_8, tau)
+        _check_against_oracles(z2_on_8, tau)
+
+
+def test_candidate_test_on_icosahedral_trees(ico):
+    rng = random.Random(71)
+    for _ in range(20):
+        _check_against_oracles(ico, random_tree(rng, range(1, 61)))
+        _check_against_oracles(ico, _symmetric_tree(ico, rng))
+
+
+def test_candidate_test_skips_non_fixers(ico, monkeypatch):
+    calls = []
+    reaim = TreePointerView.with_permutation
+
+    def counting(view, g):
+        calls.append(g)
+        return reaim(view, g)
+
+    monkeypatch.setattr(TreePointerView, "with_permutation", counting)
+    tau = random_tree(random.Random(73), range(1, 61))
+    result = stabilizer(ico, tau)
+    assert len(calls) < ico.order - result.order
