@@ -7,7 +7,9 @@ part (one subgroup-orbit picked inside each group-orbit of the part).  The
 blocks of a system are the coset translates of each part's seed.  A tree
 fixed by the whole group is built the same way: pick the triple, recursively
 build a subtree fixed by the part's subgroup on its seed union, and attach
-the coset translates of that subtree as children of a new root.
+the coset translates of that subtree as children of a new root.  Each
+(subgroup, seed) level and its translates are built once per generation run
+and shared by every recipe and tree that uses them; the top level streams.
 
 Uniqueness is enforced by (a) drawing subgroups from conjugacy-class
 representatives only and (b) keeping one seed union per orbit of the
@@ -132,21 +134,27 @@ def _seed_is_canonical(seed: frozenset, normalizer_elements) -> bool:
                for n in normalizer_elements)
 
 
-def _fixed_trees_on(group: PermGroup, points: frozenset) -> Iterator[AssemblyTree]:
+def _fixed_trees_on(group: PermGroup, points: frozenset,
+                    memo: dict) -> Iterator[AssemblyTree]:
+    """Every tree on ``points`` fixed by ``group``.  ``memo`` maps (group,
+    subgroup, seed) to each sub-level tree's coset translates, built when a
+    recipe first uses them and shared by every later recipe and tree."""
     if len(points) == 1:
         yield AssemblyTree.leaf(next(iter(points)))
         return
     if group.order == 1:
         # the trivial group fixes everything
-        yield from enumerate_all_trees(points, max_size=len(points))
+        yield from enumerate_all_trees(points)
         return
     for recipe in construction_recipes(group, points):
-        # per part, the coset translates of each subtree on its seed
         per_part = []
         for sub, seed in zip(recipe.subgroups, recipe.seeds):
-            reps = group.left_coset_representatives(sub)
-            per_part.append([[act(rep, subtree) for rep in reps]
-                             for subtree in _fixed_trees_on(sub, seed)])
+            key = (group, sub, seed)
+            if key not in memo:
+                reps = group.left_coset_representatives(sub)
+                memo[key] = [[act(rep, subtree) for rep in reps]
+                             for subtree in _fixed_trees_on(sub, seed, memo)]
+            per_part.append(memo[key])
         for choice in itertools.product(*per_part):
             yield AssemblyTree.node(itertools.chain.from_iterable(choice))
 
@@ -165,7 +173,7 @@ def generate_fixed_trees(group: PermGroup,
     points = frozenset(range(1, group.degree + 1))
     produced = 0
     seen: set[AssemblyTree] = set()
-    for tree in _fixed_trees_on(group, points):
+    for tree in _fixed_trees_on(group, points, {}):
         produced += 1
         if tree not in seen:
             seen.add(tree)

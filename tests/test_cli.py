@@ -116,6 +116,19 @@ def test_fixed_trees_golden(capsys):
     assert (code, out) == (0, "4\n")
 
 
+def test_fixed_trees_of_a_large_trivial_group_is_one_line_error(capsys):
+    # the trivial group fixes every tree, so its listing is the enumerator's
+    # and stops at the enumerator's bound
+    for extra in ((), ("--count-only",)):
+        code, out, err = run_cli(capsys, "fixed-trees", "--group",
+                                 "trivial:12", *extra)
+        assert (code, out) == (1, "")
+        assert err == ("error: label set of size 12 exceeds the enumeration "
+                       "bound 9\n")
+    code, out, _ = run_cli(capsys, "fixed-trees", "--group", "trivial:6")
+    assert code == 0 and len(out.splitlines()) == 2752
+
+
 def test_blocks_golden(capsys, tmp_path):
     path = tmp_path / "z2.group"
     path.write_text("degree 4\n(1 2)(3 4)\n")

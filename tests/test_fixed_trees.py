@@ -3,7 +3,8 @@ import pytest
 from capsid import fixed_trees
 from capsid.fixed_trees import (construction_recipes, count_fixed_trees_direct,
                                 enumerate_block_systems, generate_fixed_trees)
-from capsid.perms import close_generators, parse_permutation, trivial_group
+from capsid.perms import (builtin_group, close_generators, parse_permutation,
+                          replicated_action, trivial_group)
 from capsid.series import fixed_tree_count
 from capsid.stabilizers import fixes
 from capsid.trees import act
@@ -136,6 +137,31 @@ def test_uniqueness_filters_suffice(klein, k1, z2_on_6, s3_regular, z6, klein_on
         for _ in generate_fixed_trees(group, diagnostics=out):
             pass
         assert out[0].uniqueness_filters_sufficed, out[0]
+
+
+@pytest.mark.parametrize("name, count", [("klein4", 4896), ("cyclic:6", 3440)])
+def test_each_level_is_built_once_per_run(name, count, monkeypatch):
+    # the three copies share (subgroup, seed) levels across many recipes;
+    # building each once keeps the recipe enumerations near the number of
+    # distinct levels, far below the number of recipes that use them
+    group = replicated_action(builtin_group(name), 3)
+    calls = 0
+    recipes = fixed_trees.construction_recipes
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return recipes(*args)
+
+    monkeypatch.setattr(fixed_trees, "construction_recipes", counted)
+    out: list = []
+    assert sum(1 for _ in generate_fixed_trees(group, diagnostics=out)) \
+        == count == fixed_tree_count(group, 3)
+    assert out[0].uniqueness_filters_sufficed, out[0]
+    assert calls <= 100
+    calls = 0
+    assert count_fixed_trees_direct(group) == count
+    assert calls <= 100
 
 
 def test_icosahedral_fixed_trees_constructed_directly(ico):

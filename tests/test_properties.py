@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from capsid.perms import Permutation, close_generators, group_from_text  # noqa: E402
 from capsid.stabilizers import fixes, stabilizer  # noqa: E402
-from capsid.trees import act  # noqa: E402
+from capsid.trees import act, parse_tree  # noqa: E402
 
 from oracles import brute_stabilizer, random_tree  # noqa: E402
 
@@ -44,3 +44,21 @@ def test_stabilizer_is_the_brute_stabilizer(case):
     group, tau = case
     assert stabilizer(group, tau).group == \
         close_generators(brute_stabilizer(group, tau), group.degree)
+
+
+@PROPERTY
+@given(groups_and_trees(), st.data())
+def test_act_is_a_group_action(case, data):
+    group, tau = case
+    g, h = (data.draw(st.sampled_from(group.elements)) for _ in range(2))
+    assert act(group.identity, tau) == tau
+    assert act(g * h, tau) == act(g, act(h, tau))
+
+
+@PROPERTY
+@given(groups_and_trees())
+def test_text_form_round_trips(case):
+    _, tau = case
+    text = tau.to_text()
+    assert parse_tree(text) == tau
+    assert parse_tree(text).to_text() == text
