@@ -21,7 +21,7 @@ from . import trees as tr
 from .lattice import build_lattice
 from .stabilizers import fixes, stabilizer
 from .perms import PermGroup, builtin_group, group_from_text, \
-    icosahedral_group, parse_permutation
+    icosahedral_group, parse_permutation, replicated_action
 
 # The subgroup census (lattice, Moebius values, fixed-tree counts and the
 # fixed-tree generator) enumerates every subgroup, so groups from outside are
@@ -128,15 +128,16 @@ def _cmd_pathways(args, max_order) -> int:
 def _cmd_icosa_report(args, max_order) -> int:
     if args.T < 1:
         raise ValueError("T must be >= 1")
-    _bounded(icosahedral_group(), max_order)
+    group = _bounded(icosahedral_group(), max_order)
     if args.T != 1:
         print("warning: no published reference values exist for T != 1",
               file=sys.stderr)
-    dist = pw.icosahedral_report(args.T)
-    sys.stdout.write(pw.format_distribution(dist))
+        group = replicated_action(group, args.T)
+    lat = build_lattice(group)
+    sys.stdout.write(pw.format_distribution(pw.pathway_size_distribution(group, lat)))
     print()
     print("mobius matrix (CSV):")
-    sys.stdout.write(build_lattice(dist.group).to_csv())
+    sys.stdout.write(lat.to_csv())
     return 0
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .perms import PermGroup
-from .trees import AssemblyTree, act, enumerate_all_trees, set_partitions
+from .trees import (ENUMERATION_SIZE_BOUND, AssemblyTree, act,
+                    enumerate_all_trees, set_partitions)
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,14 @@ def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
     """All compatible block systems for a simple action, each exactly once.
 
     The single block, plus for each construction recipe the left-coset
-    translates of each part's seed.
+    translates of each part's seed.  The recipes run over the set partitions
+    of the orbits, so more orbits than the enumeration bound are refused.
     """
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
+    if len(group.orbits()) > ENUMERATION_SIZE_BOUND:
+        raise ValueError(f"orbit count {len(group.orbits())} exceeds the "
+                         f"enumeration bound {ENUMERATION_SIZE_BOUND}")
     coset_reps = {cls.representative:
                   group.left_coset_representatives(cls.representative)
                   for cls in group.conjugacy_classes_of_subgroups()}

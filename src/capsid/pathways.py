@@ -164,8 +164,8 @@ def icosahedral_report(t_number: int = 1) -> PathwayDistribution:
 
 
 def format_distribution(dist: PathwayDistribution) -> str:
-    """Human-readable report: per-class counts, the size distribution, the
-    probabilities, and consistency totals."""
+    """The report as text: per-class counts, size distribution, probabilities
+    and totals.  Obeys the caller's int-to-str digit cap; only cli.main lifts it."""
     lines = []
     lines.append(f"leaves: {dist.leaf_count}")
     lines.append(f"group order: {dist.group.order}")

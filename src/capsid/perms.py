@@ -10,13 +10,16 @@ i.e. the right factor acts first.
 
 Subgroup work (census, conjugacy classes, normalizers, coset
 representatives) runs on element indices through a multiplication table
-that is composed from image tuples, without building ``Permutation``
-objects.
+that looks each product up by its images on a base, points that tell the
+elements apart (one point for a simple action), so no ``Permutation`` and
+no whole image tuple is built.  The census extends one subgroup per
+conjugacy class and files all its conjugates at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -222,12 +225,24 @@ class PermGroup:
         return self._index
 
     def _mul_table(self) -> list[list[int]]:
-        """table[i][j] = index of elements[i] * elements[j]."""
+        """table[i][j] = index of elements[i] * elements[j], looked up by the
+        images of a base: points whose images tell every element apart."""
         if self._table is None:
-            idx = self._elem_index()
             imgs = [p.images for p in self.elements]
-            self._table = [[idx[tuple(a[x - 1] for x in b)] for b in imgs]
-                           for a in imgs]
+            base, seen = [], 1
+            for x in range(self.degree):
+                if seen == len(imgs):
+                    break
+                trial = base + [x]
+                split = len({tuple(a[y] for y in trial) for a in imgs})
+                if split > seen:
+                    base, seen = trial, split
+            base = base or [0]  # the trivial group needs no base point
+            images_on_base = operator.itemgetter(*base)
+            key = {images_on_base(a): i for i, a in enumerate(imgs)}
+            # (a * b) sends base point x to a[b[x] - 1]
+            compose = [operator.itemgetter(*(b[x] - 1 for x in base)) for b in imgs]
+            self._table = [[key[right(a)] for right in compose] for a in imgs]
         return self._table
 
     def _inv_vector(self) -> list[int]:
@@ -292,66 +307,66 @@ class PermGroup:
     def all_subgroups(self) -> list["PermGroup"]:
         """Every subgroup exactly once, canonically ordered by (order, elements).
 
-        Seeds with the cyclic subgroups and closes under joins with cyclic
-        subgroups until a fixpoint; exact and fast for the tiny groups in
-        scope.
+        Joins one member of each conjugacy class with every cyclic subgroup,
+        which reaches every class as <H, C>^x = <H^x, C^x>, and files all
+        conjugates of each new join at once, so the classes come out too.
         """
         if self._subgroups is None:
-            self._subgroups = tuple(self._compute_subgroups())
+            self._compute_subgroups()
         return list(self._subgroups)
 
-    def _compute_subgroups(self) -> list["PermGroup"]:
+    def _compute_subgroups(self) -> None:
         table = self._mul_table()
-        n = self.order
+        inv = self._inv_vector()
+        known: dict[frozenset, tuple[int, ...]] = {}  # subgroup -> generators
+        classes: list[dict] = []  # conjugacy classes, as parts of known
+
+        def file_class(fs: frozenset, gens: tuple[int, ...]) -> None:
+            # each conjugate keeps conjugated generators, which orbits() walks
+            conjugates = {}
+            for g in range(self.order):
+                row, g_inv = table[g], inv[g]
+                c = frozenset(table[row[s]][g_inv] for s in fs)
+                if c not in conjugates:
+                    conjugates[c] = tuple(table[row[s]][g_inv] for s in gens)
+            known.update(conjugates)
+            classes.append(conjugates)
+
         cyclics: dict[frozenset, tuple[int, ...]] = {}
-        for i in range(n):
-            fs = _close_indices(table, (i,))
-            cyclics.setdefault(fs, (i,))
-        known = dict(cyclics)
-        worklist = list(known.items())
-        cyc_items = list(cyclics.items())
+        trivial = frozenset([0])
+        for i in range(self.order):
+            cyclics.setdefault(_join_indices(table, trivial, (i,)), (i,))
+        file_class(trivial, (0,))
+        worklist = [(trivial, ())]  # its joins file the cyclic classes
         while worklist:
             grown = []
             for fs_a, gens_a in worklist:
-                for fs_c, gens_c in cyc_items:
+                for fs_c, gens_c in cyclics.items():
                     if fs_c <= fs_a:
                         continue
                     join_gens = tuple(dict.fromkeys(gens_a + gens_c))
-                    fs_j = _close_indices(table, join_gens)
+                    fs_j = _join_indices(table, fs_a, join_gens)
                     if fs_j not in known:
-                        known[fs_j] = join_gens
+                        file_class(fs_j, join_gens)
                         grown.append((fs_j, join_gens))
             worklist = grown
-        subs = [self._subgroup_from_indices(sorted(fs), gens)
-                for fs, gens in known.items()]
-        subs.sort(key=_subgroup_sort_key)
-        return subs
+        # element indices follow the image order, so (order, sorted indices)
+        # is the canonical (order, element images) order
+        nodes = sorted(known, key=lambda fs: (len(fs), sorted(fs)))
+        rank = {fs: i for i, fs in enumerate(nodes)}
+        subs = self._subgroups = tuple(
+            self._subgroup_from_indices(fs, known[fs]) for fs in nodes)
+        self._classes = tuple(
+            SubgroupClass(subs[ranks[0]], tuple(subs[r] for r in ranks))
+            for ranks in sorted(sorted(map(rank.get, cls)) for cls in classes))
 
     def conjugacy_classes_of_subgroups(self) -> list["SubgroupClass"]:
-        """Partition of all subgroups into conjugacy classes.
-
-        The representative of each class is its canonically least member.
-        """
-        if self._classes is not None:
-            return list(self._classes)
-        subs = self.all_subgroups()
-        table = self._mul_table()
-        inv = self._inv_vector()
-        by_fs = {self._indices(sub): sub for sub in subs}
-        assigned: set[frozenset] = set()
-        classes = []
-        for fs in by_fs:
-            if fs in assigned:
-                continue
-            conj_fss = {
-                frozenset(table[table[g][s]][inv[g]] for s in fs)
-                for g in range(self.order)
-            }
-            members = sorted((by_fs[c] for c in conj_fss), key=_subgroup_sort_key)
-            assigned |= conj_fss
-            classes.append(SubgroupClass(members[0], tuple(members)))
-        self._classes = tuple(classes)
-        return classes
+        """Partition of all subgroups into conjugacy classes, in the order of
+        their representatives; each representative is its class's
+        canonically least member."""
+        if self._classes is None:
+            self._compute_subgroups()
+        return list(self._classes)
 
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """Largest subgroup of self in which ``sub`` is normal."""
@@ -401,25 +416,19 @@ class SubgroupClass:
         return len(self.members)
 
 
-def _subgroup_sort_key(sub: PermGroup):
-    return (sub.order, tuple(p.images for p in sub.elements))
-
-
-def _close_indices(table: list[list[int]], gens: tuple[int, ...]) -> frozenset[int]:
-    """Closure of the identity and ``gens`` under the index multiplication table."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            row = table[a]
-            for g in gens:
-                b = row[g]
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return frozenset(seen)
+def _join_indices(table: list[list[int]], sub: frozenset[int],
+                  gens: tuple[int, ...]) -> frozenset[int]:
+    """The subgroup generated by ``gens``, which include generators of
+    ``sub``, built one right coset of ``sub`` at a time."""
+    elements, reps = set(sub), [0]
+    for r in reps:
+        row = table[r]
+        for g in gens:
+            e = row[g]
+            if e not in elements:
+                elements.update([table[h][e] for h in sub])
+                reps.append(e)
+    return frozenset(elements)
 
 
 def close_generators(gens: Sequence[Permutation], degree: int) -> PermGroup:

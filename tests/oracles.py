@@ -2,15 +2,16 @@
 
 These deliberately avoid the code paths they check: stabilizers come from
 acting with every element, orbit partitions from exhaustive orbits of the
-enumerated tree list, and counts from a direct set-partition recursion or a
-plain integer recurrence, neither of which touches the generating-function
-solver.
+enumerated tree list, the subgroup census from a plain fixpoint on image
+tuples, and counts from a direct set-partition recursion or a plain integer
+recurrence, neither of which touches the generating-function solver.
 """
 
 from __future__ import annotations
 
 import random
 from math import comb
+from operator import itemgetter
 
 from capsid.perms import PermGroup, Permutation
 from capsid.trees import AssemblyTree, act, enumerate_all_trees
@@ -48,6 +49,67 @@ def brute_fixed_trees(group: PermGroup, labels) -> set[AssemblyTree]:
     gens = group.generators or (group.identity,)
     return {tau for tau in enumerate_all_trees(labels)
             if all(act(g, tau) == tau for g in gens)}
+
+
+def join_images(sub: frozenset, gens, times: dict) -> frozenset:
+    """The group of image tuples generated by the group ``sub`` and
+    ``gens``, which must include generators of ``sub``: one right coset
+    ``sub * r`` at a time, until right multiplication by each of ``gens``
+    leads to no new coset (Dimino's method).  ``times[g]`` maps a to a * g."""
+    elements, reps = set(sub), [min(sub)]  # the identity is the least tuple
+    for r in reps:
+        for g in gens:
+            e = times[g](r)
+            if e not in elements:
+                elements.update(map(times[e], sub))
+                reps.append(e)
+    return frozenset(elements)
+
+
+def brute_subgroups(group: PermGroup) -> list[list[frozenset]]:
+    """The conjugacy classes of subgroups, each subgroup a frozenset of image
+    tuples.  Members and classes are ordered by (order, sorted images), so
+    the first member of each class is its least.  Needs degree 2 or more.
+
+    Every subgroup is found by the plain fixpoint: seed with the cyclic
+    subgroups, then join every new subgroup with every cyclic subgroup not
+    inside it until nothing new appears.  Classes come from conjugating
+    every subgroup by every element.
+    """
+    # (a * b)(x) = a(b(x)), so a * b reads a at the points b[x] - 1
+    times = {p.images: itemgetter(*(x - 1 for x in p.images))
+             for p in group.elements}
+    trivial = frozenset([group.identity.images])
+    cyclics = {}
+    for p in group.elements:
+        cyclics.setdefault(join_images(trivial, [p.images], times), p.images)
+    known = {cyc: (c,) for cyc, c in cyclics.items()}
+    worklist = list(known.items())
+    while worklist:
+        grown = []
+        for sub, gens in worklist:
+            for cyc, c in cyclics.items():
+                if cyc <= sub:
+                    continue
+                join = join_images(sub, gens + (c,), times)
+                if join not in known:
+                    known[join] = gens + (c,)
+                    grown.append((join, gens + (c,)))
+        worklist = grown
+
+    def key(sub):
+        return len(sub), sorted(sub)
+
+    pairs = [(p.images, times[p.inverse().images]) for p in group.elements]
+    classes, assigned = [], set()
+    for sub in sorted(known, key=key):
+        if sub in assigned:
+            continue
+        conjugates = {frozenset(by_g_inv(times[h](g)) for h in sub)
+                      for g, by_g_inv in pairs}
+        assigned |= conjugates
+        classes.append(sorted(conjugates, key=key))
+    return classes
 
 
 def set_partitions(items: tuple):

@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -127,6 +128,18 @@ def test_fixed_trees_of_a_large_trivial_group_is_one_line_error(capsys):
                        "bound 9\n")
     code, out, _ = run_cli(capsys, "fixed-trees", "--group", "trivial:6")
     assert code == 0 and len(out.splitlines()) == 2752
+
+
+def test_blocks_refuses_more_orbits_than_the_enumeration_bound(capsys):
+    # one block system per set partition of the orbits: Bell(12) - 1 of
+    # them here, so the refusal must come before any enumeration
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "blocks", "--group", "trivial:12")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: orbit count 12 exceeds the enumeration bound 9\n"
+    code, out, _ = run_cli(capsys, "blocks", "--group", "trivial:4")
+    assert code == 0 and len(out.splitlines()) == 15
 
 
 def test_blocks_golden(capsys, tmp_path):

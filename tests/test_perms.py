@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 from capsid.perms import (Permutation, builtin_group, close_generators,
                           group_from_text, parse_permutation,
                           replicated_action, trivial_group)
+from oracles import brute_subgroups
 
 
 def test_parse_permutation_examples():
@@ -161,6 +163,63 @@ def test_census_when_the_first_point_does_not_separate_elements():
     assert len(d4.conjugacy_classes_of_subgroups()) == 8
     c3 = close_generators([parse_permutation("(3 4 5)", 5)], 5)
     assert len(c3.all_subgroups()) == 2
+
+
+def _generated(degree: int, *cycles: str):
+    return close_generators([parse_permutation(c, degree) for c in cycles],
+                            degree)
+
+
+CENSUS_GROUPS = {
+    "klein4": lambda: builtin_group("klein4"),
+    "s4": lambda: _generated(4, "(1 2 3 4)", "(1 2)"),
+    "d4_on_8": lambda: _generated(8, "(1 2 3 4)(5 6 7 8)", "(2 4)(5 8)(6 7)"),
+    "s4_regular": lambda: _generated(4, "(1 2 3 4)", "(1 2)").regular_action(),
+    "s5": lambda: _generated(5, "(1 2 3 4 5)", "(1 2)"),
+    "s5_regular": lambda: _generated(5, "(1 2 3 4 5)", "(1 2)").regular_action(),
+    "icosahedral": lambda: builtin_group("icosahedral"),
+}
+
+
+@functools.cache
+def census_group(name: str):
+    return CENSUS_GROUPS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_GROUPS))
+def test_census_matches_the_brute_force_oracle(name):
+    group = census_group(name)
+
+    def images(sub):
+        return frozenset(p.images for p in sub.elements)
+
+    expected = brute_subgroups(group)
+    classes = group.conjugacy_classes_of_subgroups()
+    assert [[images(m) for m in cls.members] for cls in classes] == expected
+    assert [cls.representative for cls in classes] == \
+        [cls.members[0] for cls in classes]
+    nodes = group.all_subgroups()
+    assert [images(sub) for sub in nodes] == sorted(
+        (sub for cls in expected for sub in cls),
+        key=lambda sub: (len(sub), sorted(sub)))
+    # orbits() walks the generators, so every subgroup must keep its own
+    for sub in nodes:
+        assert close_generators(sub.generators, group.degree) == sub
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_GROUPS))
+def test_mul_table_matches_composed_images(name):
+    group = census_group(name)
+    index = {p.images: i for i, p in enumerate(group.elements)}
+    assert group._mul_table() == [[index[(a * b).images] for b in group.elements]
+                                  for a in group.elements]
+
+
+@pytest.mark.slow
+def test_s6_census_has_the_published_counts():
+    s6 = _generated(6, "(1 2 3 4 5 6)", "(1 2)")
+    assert len(s6.all_subgroups()) == 1455
+    assert len(s6.conjugacy_classes_of_subgroups()) == 56
 
 
 def test_conjugate_subgroups_same_order(ico):
