@@ -12,18 +12,14 @@ from .fixed_trees import (BlockSystem, FixedTreeDiagnostics, FixedTreeRecipe,
                           enumerate_block_systems, generate_fixed_trees)
 from .lattice import SubgroupLattice, build_lattice
 from .pathways import (PathwayDistribution, SubgroupClassRow,
-                       burnside_pathway_total, format_distribution,
-                       icosahedral_report, pathway_probabilities,
+                       format_distribution, pathway_probabilities,
                        pathway_size_distribution, tbar)
 from .perms import (PermGroup, Permutation, SubgroupClass, builtin_group,
                     close_generators, cyclic_group, group_from_text,
                     icosahedral_group, klein_group, parse_permutation,
                     replicated_action, trivial_group)
 from .series import (PowerSeries, base_tree_series, fixed_tree_count,
-                     fixed_tree_series, scalar_mul, scale_argument,
-                     series_add, series_exp, series_mul, series_sub,
-                     subgroup_summands, tree_count,
-                     verify_functional_equation, zero_series)
+                     fixed_tree_series)
 from .stabilizers import (StabilizerResult, TraversalAudit, fixes,
                           locate_image, pointer_traversal_audit, stabilizer)
 from .trees import (AssemblyTree, TreePointerView, act, enumerate_all_trees,

@@ -52,14 +52,10 @@ def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
     """All compatible block systems for a simple action, each exactly once.
 
     The single block, plus for each construction recipe the left-coset
-    translates of each part's seed.  The recipes run over the set partitions
-    of the orbits, so more orbits than the enumeration bound are refused.
+    translates of each part's seed.
     """
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
-    if len(group.orbits()) > ENUMERATION_SIZE_BOUND:
-        raise ValueError(f"orbit count {len(group.orbits())} exceeds the "
-                         f"enumeration bound {ENUMERATION_SIZE_BOUND}")
     coset_reps = {cls.representative:
                   group.left_coset_representatives(cls.representative)
                   for cls in group.conjugacy_classes_of_subgroups()}
@@ -104,10 +100,15 @@ class FixedTreeDiagnostics:
 def construction_recipes(group: PermGroup, points: Optional[frozenset] = None
                          ) -> Iterator[FixedTreeRecipe]:
     """The (partition, subgroups, seeds) choices for one construction level,
-    already filtered by the uniqueness restrictions."""
+    already filtered by the uniqueness restrictions.  The choices run over
+    the set partitions of the orbits, so more orbits than the enumeration
+    bound are refused."""
     if points is None:
         points = frozenset(range(1, group.degree + 1))
     orbs = tuple(group.orbits_within(points))
+    if len(orbs) > ENUMERATION_SIZE_BOUND:
+        raise ValueError(f"orbit count {len(orbs)} exceeds the "
+                         f"enumeration bound {ENUMERATION_SIZE_BOUND}")
     classes = group.conjugacy_classes_of_subgroups()
     reps = [c.representative for c in classes]
     normalizer_cache = {rep: group.normalizer(rep).elements for rep in reps}

@@ -6,6 +6,8 @@ over the subgroup lattice turns it into tbar(H), the number of trees whose
 stabilizer is exactly H; summing tbar over the subgroups of index m and
 dividing by m gives N(m), the number of pathways (orbits) of size m, and
 each such pathway has probability m / (total number of trees).
+:func:`format_distribution` renders the whole distribution as the text
+report that ``capsid icosa-report`` prints.
 
 Every division here must be exact; a remainder aborts with a diagnostic
 rather than rounding.
@@ -19,7 +21,7 @@ from typing import Optional
 
 from . import series
 from .lattice import SubgroupLattice, build_lattice
-from .perms import PermGroup, icosahedral_group, replicated_action
+from .perms import PermGroup
 
 
 @dataclass(frozen=True)
@@ -113,21 +115,6 @@ def pathway_probabilities(dist: PathwayDistribution) -> dict[int, Fraction]:
             for m, n in sorted(dist.per_divisor.items()) if n}
 
 
-def burnside_pathway_total(group: PermGroup) -> int:
-    """Orbit count by averaging fixed-tree counts over the group: each
-    element g fixes exactly t(<g>) trees, where <g> is the cyclic group it
-    generates."""
-    lat = build_lattice(group)
-    t_by_class = _fixed_counts_by_class(lat, group.degree)
-    # nodes are sorted by order, so the first node holding g is <g>
-    total = sum(t_by_class[next(c for sub, c in zip(lat.nodes, lat.node_class)
-                                if g in sub)]
-                for g in group.elements)
-    if total % group.order:
-        raise ArithmeticError("Burnside average is not integral")
-    return total // group.order
-
-
 def _fixed_counts_by_class(lat: SubgroupLattice, leaf_count: int) -> list[int]:
     """t(H) for each class of ``lat``: every subgroup H of a simple action on
     ``leaf_count`` points acts simply as well, with leaf_count / |H| orbits."""
@@ -144,23 +131,6 @@ def _fixed_counts_by_class(lat: SubgroupLattice, leaf_count: int) -> list[int]:
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-# -- the end-to-end icosahedral report ---------------------------------------
-
-def icosahedral_report(t_number: int = 1) -> PathwayDistribution:
-    """The pathway distribution of the order-60 icosahedral rotation group
-    acting simply on 60 * T facets.
-
-    Only T=1 has published reference values; other T are computed with the
-    same machinery.
-    """
-    if t_number < 1:
-        raise ValueError("T must be >= 1")
-    group = icosahedral_group()
-    if t_number > 1:
-        group = replicated_action(group, t_number)
-    return pathway_size_distribution(group)
 
 
 def format_distribution(dist: PathwayDistribution) -> str:

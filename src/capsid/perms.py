@@ -468,8 +468,6 @@ def replicated_action(group: PermGroup, copies: int) -> PermGroup:
 
 # -- builtin constructions --------------------------------------------------
 
-_ICOSAHEDRAL: Optional[PermGroup] = None
-
 
 def trivial_group(degree: int) -> PermGroup:
     return close_generators([], degree)
@@ -492,12 +490,9 @@ def klein_group() -> PermGroup:
 def icosahedral_group() -> PermGroup:
     """The order-60 rotation group of the icosahedron, acting simply on 60
     points via the regular action of the even permutations of five symbols."""
-    global _ICOSAHEDRAL
-    if _ICOSAHEDRAL is None:
-        a5 = close_generators(
-            [parse_permutation("(1 2 3 4 5)", 5), parse_permutation("(1 2 3)", 5)], 5)
-        _ICOSAHEDRAL = a5.regular_action()
-    return _ICOSAHEDRAL
+    a5 = close_generators(
+        [parse_permutation("(1 2 3 4 5)", 5), parse_permutation("(1 2 3)", 5)], 5)
+    return a5.regular_action()
 
 
 def builtin_group(name: str) -> PermGroup:

@@ -1,10 +1,11 @@
 """The functional equations counting fixed assembly trees, solved in
-integers, and exact truncated exponential generating functions.
+integers, and the truncated exponential generating functions that carry
+the solved counts.
 
 The counts t_n(H) are integers and are computed as integers.  A series with
 coefficients c_0..c_N represents an EGF, so the count at index n is
 c_n * n!; Fractions appear only in :class:`PowerSeries`, which the wrappers
-build as t_n / n!, and in the residual check.  No floating point.
+build as t_n / n!.  No floating point.
 
 The base equation, with f the EGF of all assembly-tree counts, is
 
@@ -57,77 +58,6 @@ class PowerSeries:
     def counts(self) -> list[int]:
         return [self.count(n) for n in range(self.order + 1)]
 
-
-def zero_series(order: int) -> PowerSeries:
-    return PowerSeries(order, (Fraction(0),) * (order + 1))
-
-
-def constant_series(value, order: int) -> PowerSeries:
-    return PowerSeries(order, (Fraction(value),) + (Fraction(0),) * order)
-
-
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    _check_orders(a, b)
-    return PowerSeries(a.order, tuple(x + y for x, y in
-                                      zip(a.coefficients, b.coefficients)))
-
-
-def series_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    _check_orders(a, b)
-    return PowerSeries(a.order, tuple(x - y for x, y in
-                                      zip(a.coefficients, b.coefficients)))
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    _check_orders(a, b)
-    n = a.order
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a.coefficients):
-        if not ai:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coefficients[j]
-            if bj:
-                out[i + j] += ai * bj
-    return PowerSeries(n, tuple(out))
-
-
-def scalar_mul(a: PowerSeries, q) -> PowerSeries:
-    q = Fraction(q)
-    return PowerSeries(a.order, tuple(q * c for c in a.coefficients))
-
-
-def scale_argument(a: PowerSeries, k: int) -> PowerSeries:
-    """The series a(kx): multiplies c_n by k**n."""
-    if k < 1:
-        raise ValueError("argument scale must be a positive integer")
-    return PowerSeries(a.order,
-                       tuple(c * k ** n for n, c in enumerate(a.coefficients)))
-
-
-def series_exp(a: PowerSeries) -> PowerSeries:
-    """exp(a) for a series with zero constant term.
-
-    Uses b_n = (1/n) * sum_{k=1..n} k a_k b_{n-k}, the recurrence from
-    b' = a' b.
-    """
-    if a.coefficients[0] != 0:
-        raise ValueError("series_exp needs a zero constant term")
-    n = a.order
-    b = [Fraction(1)] + [Fraction(0)] * n
-    ac = a.coefficients
-    for m in range(1, n + 1):
-        b[m] = sum((k * ac[k] * b[m - k] for k in range(1, m + 1)),
-                   Fraction(0)) / m
-    return PowerSeries(n, tuple(b))
-
-
-def _check_orders(a: PowerSeries, b: PowerSeries) -> None:
-    if a.order != b.order:
-        raise ValueError("truncation orders differ")
-
-
-# -- the tree-count solver ---------------------------------------------------
 
 def class_tree_counts(lat: SubgroupLattice,
                       orders: dict[int, int]) -> list[list[int]]:
@@ -205,19 +135,6 @@ def base_tree_series(order: int) -> PowerSeries:
     return _egf(_group_counts(trivial_group(1), order))
 
 
-def tree_count(n: int) -> int:
-    """The number of assembly trees on n labeled leaves."""
-    return _group_counts(trivial_group(1), n)[n]
-
-
-def subgroup_summands(group: PermGroup) -> list[tuple[int, PermGroup]]:
-    """The (index, subgroup) pairs whose scaled series sum sits inside the
-    exponential of the group's functional equation; one entry per subgroup,
-    the group itself included."""
-    return [(group.order // sub.order, sub)
-            for sub in group.all_subgroups()]
-
-
 def fixed_tree_series(group: PermGroup, order: int) -> PowerSeries:
     """The EGF of t_n(G): the number of assembly trees on n*|G| leaves fixed
     by every element of G, for a group acting simply.
@@ -236,22 +153,3 @@ def fixed_tree_count(group: PermGroup, n: int) -> int:
         raise ValueError("n must be >= 1")
     return _group_counts(group, n)[n]
 
-
-def verify_functional_equation(group: PermGroup, series: PowerSeries) -> bool:
-    """Substitute a solved series back into its defining equation, in
-    Fraction arithmetic; the residual must vanish through the truncation
-    order."""
-    order = series.order
-    lat = build_lattice(group)
-    counts = class_tree_counts(lat, {lat.node_class[-1]: order})
-    total = zero_series(order)
-    for index, sub in subgroup_summands(group):
-        if sub.order == group.order:
-            inner = series
-        else:
-            inner = _egf(counts[lat.node_class[lat.index_of(sub)]])
-        total = series_add(total,
-                           scalar_mul(scale_argument(inner, index),
-                                      Fraction(1, index)))
-    lhs = series_add(constant_series(1, order), scalar_mul(series, 2))
-    return series_sub(series_exp(total), lhs) == zero_series(order)

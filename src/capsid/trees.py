@@ -142,24 +142,22 @@ def _act(g: Permutation, tau: AssemblyTree) -> AssemblyTree:
     return AssemblyTree.node(_act(g, c) for c in tau.children)
 
 
-def enumerate_all_trees(labels: Iterable[int],
-                        max_size: int = ENUMERATION_SIZE_BOUND
-                        ) -> Iterator[AssemblyTree]:
+def enumerate_all_trees(labels: Iterable[int]) -> Iterator[AssemblyTree]:
     """Every assembly tree on the given label set, exactly once.
 
     The stream is deterministic: root partitions are generated in a fixed
     lexicographic block order and subtrees recurse the same way.  Sizes are
-    capped (default 9, the oracle scale) because the count grows like
-    1, 1, 4, 26, 236, 2752, ...
+    capped at ENUMERATION_SIZE_BOUND (9, the oracle scale) because the count
+    grows like 1, 1, 4, 26, 236, 2752, ...
     """
     labels = tuple(sorted(set(labels)))
     if not labels:
         raise ValueError("label set must be nonempty")
     if labels[0] < 1:
         raise ValueError("leaf labels must be positive integers")
-    if len(labels) > max_size:
-        raise ValueError(
-            f"label set of size {len(labels)} exceeds the enumeration bound {max_size}")
+    if len(labels) > ENUMERATION_SIZE_BOUND:
+        raise ValueError(f"label set of size {len(labels)} exceeds the "
+                         f"enumeration bound {ENUMERATION_SIZE_BOUND}")
     # memoize full subtree lists for small blocks; they recur across partitions
     memo: dict[tuple, tuple] = {}
     yield from _trees(labels, memo)

@@ -4,16 +4,20 @@ These deliberately avoid the code paths they check: stabilizers come from
 acting with every element, orbit partitions from exhaustive orbits of the
 enumerated tree list, the subgroup census from a plain fixpoint on image
 tuples, and counts from a direct set-partition recursion or a plain integer
-recurrence, neither of which touches the generating-function solver.
+recurrence, neither of which touches the generating-function solver.  The
+two identity checks read counts from the public solver but do their own
+arithmetic.
 """
 
 from __future__ import annotations
 
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 from operator import itemgetter
 
-from capsid.perms import PermGroup, Permutation
+from capsid.perms import PermGroup, Permutation, close_generators
+from capsid.series import fixed_tree_count, fixed_tree_series
 from capsid.trees import AssemblyTree, act, enumerate_all_trees
 
 
@@ -182,6 +186,44 @@ def count_trees_by_recurrence(n: int) -> int:
         g[m] = sum(comb(m - 1, k - 1) * a[k] * g[m - k]
                    for k in range(1, m + 1))
     return a[n]
+
+
+def functional_equation_holds(group: PermGroup, counts: list[int]) -> bool:
+    """Whether the counts t_0..t_N of ``group`` satisfy, through order N,
+
+        1 - [G = 1] x + 2 f_G(x) = exp( sum over H <= G of f_H((G:H) x) / (G:H) )
+
+    with f_H the EGF of t(H).  Proper subgroups' counts come from
+    ``fixed_tree_series``; exp(a) is b with b' = a'b."""
+    top = len(counts) - 1
+    a = [Fraction(0)] * (top + 1)
+    for sub in group.all_subgroups():
+        index = group.order // sub.order
+        t = counts if index == 1 else fixed_tree_series(sub, top).counts()
+        for n in range(1, top + 1):
+            a[n] += Fraction(t[n] * index ** (n - 1), factorial(n))
+    b = [Fraction(1)] + [Fraction(0)] * top
+    for m in range(1, top + 1):
+        b[m] = sum(k * a[k] * b[m - k] for k in range(1, m + 1)) / m
+    lhs = [Fraction(2 * t, factorial(n)) for n, t in enumerate(counts)]
+    lhs[0] += 1
+    if group.order == 1:
+        lhs[1] -= 1
+    return b == lhs
+
+
+def burnside_total(group: PermGroup) -> int:
+    """The number of pathways by Burnside's lemma: the mean over g of the
+    trees g fixes, t(<g>), with <g> closed from g alone."""
+    fixed: dict[PermGroup, int] = {}
+    total = 0
+    for g in group.elements:
+        cyclic = close_generators([g], group.degree)
+        if cyclic not in fixed:
+            fixed[cyclic] = fixed_tree_count(cyclic, group.degree // cyclic.order)
+        total += fixed[cyclic]
+    assert total % group.order == 0, "Burnside mean is not integral"
+    return total // group.order
 
 
 def random_tree(rng: random.Random, labels) -> AssemblyTree:

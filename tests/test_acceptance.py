@@ -23,15 +23,15 @@ import pytest
 from capsid.cli import main
 from capsid.fixed_trees import count_fixed_trees_direct, \
     enumerate_block_systems
-from capsid.pathways import (burnside_pathway_total, icosahedral_report,
-                             pathway_probabilities, pathway_size_distribution)
-from capsid.perms import close_generators, parse_permutation, trivial_group
-from capsid.series import fixed_tree_count, fixed_tree_series, tree_count
+from capsid.pathways import pathway_probabilities, pathway_size_distribution
+from capsid.perms import (close_generators, icosahedral_group,
+                          parse_permutation, replicated_action, trivial_group)
+from capsid.series import fixed_tree_count, fixed_tree_series
 from capsid.stabilizers import fixes, locate_image, pointer_traversal_audit, \
     stabilizer
 from capsid.trees import act, enumerate_all_trees, pointer_view
 
-from oracles import (brute_orbit_partition, brute_stabilizer,
+from oracles import (brute_orbit_partition, brute_stabilizer, burnside_total,
                      count_trees_by_recurrence, random_permutation,
                      random_tree)
 
@@ -204,7 +204,7 @@ def test_acceptance_04_reference_values(capsys):
 def test_acceptance_04_recomputed_table(capsys):
     start = time.perf_counter()
     printed, out = _icosa_report_tbar_strings(capsys)
-    dist = icosahedral_report()
+    dist = pathway_size_distribution(replicated_action(icosahedral_group(), 1))
     elapsed = time.perf_counter() - start
     identity_total = sum(CLASS_SIZES[o] * RECOMPUTED_TBAR[o]
                          for o in RECOMPUTED_TBAR)
@@ -315,11 +315,11 @@ def test_acceptance_10_global_consistency(klein, ico, capsys):
     ico_dist = pathway_size_distribution(ico)
     ok = True
     ok &= sum(m * n for m, n in klein_dist.per_divisor.items()) == 26 == \
-        tree_count(4)
+        count_trees_by_recurrence(4)
     ok &= sum(m * n for m, n in ico_dist.per_divisor.items()) == \
-        tree_count(60) == ico_dist.total_trees
-    ok &= burnside_pathway_total(klein) == klein_dist.pathway_total == 11
-    ok &= burnside_pathway_total(ico) == ico_dist.pathway_total
+        count_trees_by_recurrence(60) == ico_dist.total_trees
+    ok &= burnside_total(klein) == klein_dist.pathway_total == 11
+    ok &= burnside_total(ico) == ico_dist.pathway_total
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         _report(10, bool(ok), elapsed,

@@ -142,6 +142,22 @@ def test_blocks_refuses_more_orbits_than_the_enumeration_bound(capsys):
     assert code == 0 and len(out.splitlines()) == 15
 
 
+def test_fixed_trees_refuses_more_orbits_than_the_enumeration_bound(
+        capsys, tmp_path):
+    # an involution on 12 orbits: the recipes would walk the Bell(12) set
+    # partitions of the orbits, so the refusal must come before any of them
+    path = tmp_path / "z2_on_24.group"
+    pairs = "".join(f"({2 * i - 1} {2 * i})" for i in range(1, 13))
+    path.write_text(f"degree 24\n{pairs}\n")
+    for extra in ((), ("--count-only",)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "fixed-trees", "--group", str(path),
+                                 *extra)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == "error: orbit count 12 exceeds the enumeration bound 9\n"
+
+
 def test_blocks_golden(capsys, tmp_path):
     path = tmp_path / "z2.group"
     path.write_text("degree 4\n(1 2)(3 4)\n")

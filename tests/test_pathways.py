@@ -3,12 +3,18 @@ from fractions import Fraction
 import pytest
 
 from capsid.lattice import build_lattice
-from capsid.pathways import (burnside_pathway_total, format_distribution,
-                             icosahedral_report, pathway_probabilities,
+from capsid.pathways import (format_distribution, pathway_probabilities,
                              pathway_size_distribution, tbar)
-from capsid.perms import close_generators, parse_permutation, trivial_group
+from capsid.perms import (close_generators, icosahedral_group,
+                          parse_permutation, replicated_action, trivial_group)
 
-from oracles import brute_orbit_partition, count_trees_by_recurrence
+from oracles import (brute_orbit_partition, burnside_total,
+                     count_trees_by_recurrence)
+
+
+def icosahedral_distribution(t_number):
+    return pathway_size_distribution(
+        replicated_action(icosahedral_group(), t_number))
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +86,17 @@ def test_z2_on_6_distribution(z2_on_6):
     assert sum(m * n for m, n in d.per_divisor.items()) == 2752
 
 
-def test_burnside(klein, z2_on_6, klein_dist):
-    assert burnside_pathway_total(klein) == 11 == klein_dist.pathway_total
-    assert burnside_pathway_total(z2_on_6) == \
+def test_burnside(klein, z2_on_6, klein_dist, ico):
+    assert burnside_total(klein) == 11 == klein_dist.pathway_total
+    assert burnside_total(z2_on_6) == \
         pathway_size_distribution(z2_on_6).pathway_total
     # regular S4 has two classes of order-2 subgroups and two of Klein groups
     s4_regular = close_generators([parse_permutation("(1 2 3 4)", 4),
                                    parse_permutation("(1 2)", 4)],
                                   4).regular_action()
-    assert burnside_pathway_total(s4_regular) == \
+    assert burnside_total(s4_regular) == \
         pathway_size_distribution(s4_regular).pathway_total
+    assert burnside_total(ico) == pathway_size_distribution(ico).pathway_total
 
 
 def test_orbit_sizes_divide_group_order(klein_dist):
@@ -118,8 +125,8 @@ def test_format_distribution_deterministic(klein_dist):
     assert "1/26" in text
 
 
-def test_icosahedral_report_tbar_column(ico):
-    dist = icosahedral_report()
+def test_icosahedral_report_tbar_column():
+    dist = icosahedral_distribution(1)
     column = {r.order: r.exact_count for r in dist.per_subgroup_class}
     assert column[60] == 204
     assert column[12] == 16865654580
@@ -131,19 +138,19 @@ def test_icosahedral_report_tbar_column(ico):
 
 
 def test_icosahedral_global_identity():
-    dist = icosahedral_report()
+    dist = icosahedral_distribution(1)
     assert sum(m * n for m, n in dist.per_divisor.items()) == dist.total_trees
     assert dist.per_divisor[2] == dist.per_divisor[3] == dist.per_divisor[4] == 0
 
 
 def test_nontrivial_t_number():
-    dist = icosahedral_report(2)
+    dist = icosahedral_distribution(2)
     assert dist.leaf_count == 120
     assert sum(m * n for m, n in dist.per_divisor.items()) == dist.total_trees
 
 
 def test_t7_total_matches_integer_oracle():
-    dist = icosahedral_report(7)
+    dist = icosahedral_distribution(7)
     expected = count_trees_by_recurrence(420)
     assert dist.total_trees == expected
     assert sum(row.class_size * row.exact_count

@@ -1,5 +1,3 @@
-import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,85 +6,21 @@ from capsid.lattice import build_lattice
 from capsid.perms import (close_generators, cyclic_group, parse_permutation,
                           trivial_group)
 from capsid.series import (PowerSeries, base_tree_series, class_tree_counts,
-                           constant_series, fixed_tree_count,
-                           fixed_tree_series, scalar_mul, scale_argument,
-                           series_add, series_exp, series_mul, series_sub,
-                           subgroup_summands, tree_count,
-                           verify_functional_equation, zero_series)
+                           fixed_tree_count, fixed_tree_series)
 
-from oracles import count_trees_by_partition_recursion
-
-
-def _random_series(rng, order, zero_constant=False):
-    coeffs = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
-              for _ in range(order + 1)]
-    if zero_constant:
-        coeffs[0] = Fraction(0)
-    return PowerSeries(order, tuple(coeffs))
-
-
-def test_exp_of_zero_is_one():
-    assert series_exp(zero_series(5)) == constant_series(1, 5)
-
-
-def test_exp_rejects_nonzero_constant():
-    with pytest.raises(ValueError):
-        series_exp(constant_series(1, 3))
-
-
-def test_exp_matches_direct_power_sum():
-    # oracle: exp(a) = sum a^k / k! truncated
-    rng = random.Random(61)
-    for _ in range(20):
-        order = rng.randint(1, 7)
-        a = _random_series(rng, order, zero_constant=True)
-        expected = constant_series(1, order)
-        power = constant_series(1, order)
-        for k in range(1, order + 1):
-            power = series_mul(power, a)
-            expected = series_add(expected,
-                                  scalar_mul(power, Fraction(1, math.factorial(k))))
-        assert series_exp(a) == expected
-
-
-def test_mul_is_cauchy_convolution():
-    a = PowerSeries(3, (Fraction(1), Fraction(2), Fraction(0), Fraction(1, 3)))
-    b = PowerSeries(3, (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(0)))
-    product = series_mul(a, b)
-    assert product.coefficients == (Fraction(0), Fraction(1), Fraction(5, 2),
-                                    Fraction(1))
-
-
-def test_scale_argument_law():
-    rng = random.Random(67)
-    a = _random_series(rng, 6)
-    scaled = scale_argument(a, 3)
-    for n in range(7):
-        assert scaled[n] == a[n] * 3 ** n
-    with pytest.raises(ValueError):
-        scale_argument(a, 0)
-
-
-def test_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        series_add(zero_series(3), zero_series(4))
+from oracles import count_trees_by_partition_recursion, functional_equation_holds
 
 
 def test_base_series_counts():
     series = base_tree_series(9)
     assert series.counts()[1:] == [1, 1, 4, 26, 236, 2752, 39208, 660032,
                                    12818912]
-    assert tree_count(2) == 1
+    assert fixed_tree_count(trivial_group(1), 2) == 1
 
 
 def test_base_series_satisfies_equation():
-    f = base_tree_series(12)
-    lhs = series_add(series_sub(constant_series(1, 12),
-                                PowerSeries(12, tuple(Fraction(1) if n == 1
-                                                      else Fraction(0)
-                                                      for n in range(13)))),
-                     scalar_mul(f, 2))
-    assert series_exp(f) == lhs
+    assert functional_equation_holds(trivial_group(1),
+                                     base_tree_series(12).counts())
 
 
 def test_base_matches_partition_recursion():
@@ -98,20 +32,21 @@ def test_base_matches_partition_recursion():
 def test_order_two_sequence(k1):
     series = fixed_tree_series(k1, 6)
     assert series.counts()[1:] == [1, 6, 72, 1312, 32128, 989696]
-    assert verify_functional_equation(k1, series)
+    assert functional_equation_holds(k1, series.counts())
 
 
 def test_klein_sequence(klein):
     series = fixed_tree_series(klein, 6)
     assert series.counts()[1:] == [4, 104, 4896, 341120, 31945728, 3790876672]
-    assert verify_functional_equation(klein, series)
+    assert functional_equation_holds(klein, series.counts())
 
 
-def test_klein_summand_structure(klein, k1):
-    assert sorted((m, sub.order) for m, sub in subgroup_summands(klein)) == [
-        (1, 4), (2, 2), (2, 2), (2, 2), (4, 1)]
-    assert sorted((m, sub.order) for m, sub in subgroup_summands(k1)) == [
-        (1, 2), (2, 1)]
+def test_residual_oracle_rejects_a_count_off_by_one(klein):
+    counts = fixed_tree_series(klein, 6).counts()
+    for n in range(1, 7):
+        wrong = list(counts)
+        wrong[n] += 1
+        assert not functional_equation_holds(klein, wrong)
 
 
 def test_klein_first_coefficient_identity(klein):
@@ -167,7 +102,7 @@ def test_integrality_through_order_twelve():
 def test_residuals_vanish_for_sample_groups(s3_regular, z6):
     for group in (s3_regular, z6):
         series = fixed_tree_series(group, 5)
-        assert verify_functional_equation(group, series)
+        assert functional_equation_holds(group, series.counts())
 
 
 def test_count_rejects_bad_input(klein):
@@ -189,6 +124,6 @@ def test_icosahedral_order_one_count(ico):
 
 
 def test_tree_count_sixty_digits():
-    value = tree_count(60)
+    value = fixed_tree_count(trivial_group(1), 60)
     assert len(str(value)) == 104
     assert str(value).startswith("19244655101324373947")

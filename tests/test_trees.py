@@ -4,7 +4,7 @@ import random
 import pytest
 
 from capsid.perms import Permutation, parse_permutation, trivial_group
-from capsid.series import tree_count
+from capsid.series import fixed_tree_count
 from capsid.trees import (AssemblyTree, act, enumerate_all_trees, parse_tree,
                           pointer_view, set_partitions)
 
@@ -131,9 +131,10 @@ def test_enumerate_size_bound():
 
 def test_count_trees_matches_series_and_recursion():
     for n in range(1, 10):
-        assert tree_count(n) == TOTAL_COUNTS[n]
+        assert fixed_tree_count(trivial_group(1), n) == TOTAL_COUNTS[n]
     for n in range(1, 11):
-        assert tree_count(n) == count_trees_by_partition_recursion(n)
+        assert fixed_tree_count(trivial_group(1), n) == \
+            count_trees_by_partition_recursion(n)
 
 
 def test_tree_count_oracles_agree():
