@@ -276,10 +276,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print("error: tree nests too deeply to process (recursion limit "
-              f"{sys.getrecursionlimit()} exceeded)", file=sys.stderr)
-        return 1
     finally:
         if digit_cap is not None:
             sys.set_int_max_str_digits(digit_cap)

@@ -27,8 +27,12 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .perms import PermGroup
-from .trees import (ENUMERATION_SIZE_BOUND, AssemblyTree, act,
+from .series import fixed_tree_count
+from .trees import (ENUMERATION_SIZE_BOUND, AssemblyTree, _act, _node,
                     enumerate_all_trees, set_partitions)
+
+# generate_fixed_trees refuses a group that fixes more trees than this
+LISTING_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,9 @@ def _fixed_trees_on(group: PermGroup, points: frozenset,
                     memo: dict) -> Iterator[AssemblyTree]:
     """Every tree on ``points`` fixed by ``group``.  ``memo`` maps (group,
     subgroup, seed) to each sub-level tree's coset translates, built when a
-    recipe first uses them and shared by every later recipe and tree."""
+    recipe first uses them and shared by every later recipe and tree.  The
+    translates of one seed are checked disjoint once, when first built, so
+    the vertices are built unchecked."""
     if len(points) == 1:
         yield AssemblyTree.leaf(next(iter(points)))
         return
@@ -158,18 +164,23 @@ def _fixed_trees_on(group: PermGroup, points: frozenset,
             key = (group, sub, seed)
             if key not in memo:
                 reps = group.left_coset_representatives(sub)
-                memo[key] = [[act(rep, subtree) for rep in reps]
+                if len({rep(x) for rep in reps for x in seed}) != \
+                        len(reps) * len(seed):
+                    raise RuntimeError("the coset translates of a seed overlap")
+                memo[key] = [[_act(rep.images, subtree) for rep in reps]
                              for subtree in _fixed_trees_on(sub, seed, memo)]
             per_part.append(memo[key])
         for choice in itertools.product(*per_part):
-            yield AssemblyTree.node(itertools.chain.from_iterable(choice))
+            yield _node(itertools.chain.from_iterable(choice))
 
 
 def generate_fixed_trees(group: PermGroup,
                          diagnostics: Optional[list] = None
                          ) -> Iterator[AssemblyTree]:
     """Every assembly tree on the full point set fixed by the whole group,
-    each exactly once; requires a simple action.
+    each exactly once; requires a simple action.  A group that fixes more
+    than LISTING_BOUND trees is refused after the first tree is built, so
+    the enumeration bounds, which refuse while it is built, speak first.
 
     Pass a list as ``diagnostics`` to receive a :class:`FixedTreeDiagnostics`
     appended after the stream is exhausted.
@@ -177,9 +188,15 @@ def generate_fixed_trees(group: PermGroup,
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
     points = frozenset(range(1, group.degree + 1))
+    trees = _fixed_trees_on(group, points, {})
+    first = next(trees)
+    count = fixed_tree_count(group, group.degree // group.order)
+    if count > LISTING_BOUND:
+        raise ValueError(f"fixed-tree count {count} exceeds the listing "
+                         f"bound {LISTING_BOUND}")
     produced = 0
     seen: set[AssemblyTree] = set()
-    for tree in _fixed_trees_on(group, points, {}):
+    for tree in itertools.chain((first,), trees):
         produced += 1
         if tree not in seen:
             seen.add(tree)

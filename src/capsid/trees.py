@@ -1,10 +1,22 @@
 """Assembly trees: rooted trees with leaves bijectively labeled by a finite
 set of positive integers, every internal vertex having at least two children.
 
-Each vertex is identified with the set of its descendant leaf labels.
-Children are kept sorted by minimum leaf label, so two trees are equal
-exactly when they are structurally identical, and the serialized text is a
-canonical form.
+The paper identifies each vertex with the set of its descendant leaf labels.
+A tree here stores no such set: each vertex keeps its children, its least
+and greatest leaf labels, its leaf count and a hash taken from its
+children, so a tree costs memory linear in its leaves.  Children are kept
+sorted by least leaf label, so two trees are equal exactly when they are
+structurally identical, and the serialized text is a canonical form.
+
+Leaf labels are checked to be distinct where input enters, once per tree
+or per construction level, not at every vertex: ``parse_tree`` keeps one
+set over the whole text, ``act`` maps through a validated bijection and
+checks its image set once, the enumerator checks each set partition, and
+the fixed-tree generator checks that each seed's coset translates are
+disjoint.  Those build through ``_node``, which checks nothing;
+``AssemblyTree.node`` checks its children.  Apart from the enumerator, whose
+depth the size bound caps, no function here recurses along a tree path, so
+trees of any depth work.
 
 The exhaustive enumerator in this module is the brute-force oracle that the
 rest of the package is tested against.
@@ -14,6 +26,8 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
+import re
 from typing import Iterable, Iterator, Optional
 
 from .perms import Permutation
@@ -24,49 +38,71 @@ ENUMERATION_SIZE_BOUND = 9
 class AssemblyTree:
     """An immutable, canonicalized assembly tree.
 
-    ``labels`` is the vertex label (the frozenset of descendant leaf labels);
     ``children`` is the canonically ordered tuple of subtrees, empty for a
-    leaf.
+    leaf; ``min_label`` and ``max_label`` are the least and greatest leaf
+    labels below the vertex and ``size`` the number of leaves.  The vertex
+    label, the set of descendant leaf labels, is ``labels``, which walks
+    the subtree each time it is read.
     """
 
-    __slots__ = ("labels", "children", "min_label", "_hash")
+    __slots__ = ("children", "min_label", "max_label", "size", "_hash")
 
-    def __init__(self, labels: frozenset, children: tuple, min_label: int,
-                 _hash: int):
+    def __init__(self, children: tuple, min_label: int, max_label: int,
+                 size: int, _hash: int):
         # internal: use AssemblyTree.leaf / AssemblyTree.node
-        self.labels = labels
         self.children = children
         self.min_label = min_label
+        self.max_label = max_label
+        self.size = size
         self._hash = _hash
 
     @classmethod
     def leaf(cls, label: int) -> "AssemblyTree":
         if label < 1:
             raise ValueError(f"leaf labels must be positive integers, got {label}")
-        labels = frozenset((label,))
-        return cls(labels, (), label, hash((labels, ())))
+        return cls((), label, label, 1, hash(label))
 
     @classmethod
     def node(cls, children: Iterable["AssemblyTree"]) -> "AssemblyTree":
-        children = tuple(sorted(children, key=lambda c: c.min_label))
+        children = tuple(children)
         if len(children) < 2:
             raise ValueError("an internal vertex needs at least two children")
-        labels = frozenset(itertools.chain.from_iterable(c.labels for c in children))
-        if len(labels) != sum(len(c.labels) for c in children):
+        labels = set()
+        for child in children:
+            labels.update(child.labels)
+        if len(labels) != sum(child.size for child in children):
             raise ValueError("children leaf sets overlap")
-        return cls(labels, children, children[0].min_label,
-                   hash((labels, children)))
+        return _node(children)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
+    @property
+    def labels(self) -> frozenset:
+        """The set of leaf labels below this vertex."""
+        found, stack = [], [self]
+        while stack:
+            v = stack.pop()
+            if v.children:
+                stack.extend(v.children)
+            else:
+                found.append(v.min_label)
+        return frozenset(found)
+
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, AssemblyTree) or self._hash != other._hash:
+        if not isinstance(other, AssemblyTree):
             return False
-        return self.labels == other.labels and self.children == other.children
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if (a._hash != b._hash or a.min_label != b.min_label
+                    or len(a.children) != len(b.children)):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -77,69 +113,158 @@ class AssemblyTree:
     def to_text(self) -> str:
         """Canonical serialization, e.g. ``((1,2),3,4)``; a bare integer for
         a single-leaf tree."""
-        if self.is_leaf:
-            return str(self.min_label)
-        return "(" + ",".join(c.to_text() for c in self.children) + ")"
+        out = []
+        stack = [self]  # subtrees still to write, and the "," and ")" between
+        while stack:
+            v = stack.pop()
+            if v.__class__ is str:
+                out.append(v)
+            elif v.children:
+                out.append("(")
+                stack.append(")")
+                kids = v.children
+                for c in kids[:0:-1]:
+                    stack.append(c)
+                    stack.append(",")
+                stack.append(kids[0])
+            else:
+                out.append(str(v.min_label))
+        return "".join(out)
+
+
+_by_min_label = operator.attrgetter("min_label")
+
+
+def _node(children) -> AssemblyTree:
+    """The vertex over two or more children whose leaf sets the caller
+    knows to be disjoint; nothing is checked."""
+    children = tuple(sorted(children, key=_by_min_label))
+    max_label = size = 0
+    for child in children:
+        size += child.size
+        if child.max_label > max_label:
+            max_label = child.max_label
+    return AssemblyTree(children, children[0].min_label, max_label, size,
+                        hash(children))
+
+
+_DELIMITER = re.compile(r"([(),])")
 
 
 def parse_tree(text: str) -> AssemblyTree:
     """Parse the nested-parenthesis tree format, e.g. ``((1,2),3,4)``.
 
     Every internal node needs at least two children and leaf labels must be
-    distinct positive integers.
+    distinct positive integers.  The first error met reading left to right
+    is reported; a repeated label is met at its second copy.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty tree text")
-    tree, pos = _parse_node(s, 0)
-    if pos != len(s):
-        raise ValueError(f"trailing characters after tree: {s[pos:]!r}")
-    return tree
-
-
-def _parse_node(s: str, pos: int) -> tuple[AssemblyTree, int]:
-    if pos >= len(s):
-        raise ValueError("unexpected end of tree text")
-    if s[pos] == "(":
-        pos += 1
-        children = []
+    # the text between delimiters at even indices, the delimiters at odd ones
+    pieces = _DELIMITER.split(s)
+    end = len(pieces)
+    open_children: list[list] = []  # the children read so far of each open vertex
+    seen: set[int] = set()
+    i = 0
+    while True:
+        # read a vertex starting at pieces[i], a text piece
+        word = pieces[i]
+        if not word:
+            if i + 1 == end:
+                raise ValueError("unexpected end of tree text")
+            if pieces[i + 1] != "(":
+                raise ValueError(f"expected a leaf label at position "
+                                 f"{_offset(pieces, i + 1)} of {s!r}")
+            open_children.append([])
+            i += 2
+            continue
+        if not word.isdigit():
+            _raise_bad_leaf(s, pieces, i, bool(open_children))
+        vertex = AssemblyTree.leaf(int(word))
+        if vertex.min_label in seen:
+            raise ValueError("invalid tree: children leaf sets overlap")
+        seen.add(vertex.min_label)
+        i += 1
+        # close vertices while a ")" follows; pieces[i] is a delimiter or the end
         while True:
-            child, pos = _parse_node(s, pos)
-            children.append(child)
-            if pos >= len(s):
-                raise ValueError("unbalanced parentheses in tree text")
-            if s[pos] == ",":
-                pos += 1
-                continue
-            if s[pos] == ")":
-                pos += 1
+            if i == end:
+                if open_children:
+                    raise ValueError("unbalanced parentheses in tree text")
+                return vertex
+            if not open_children:
+                raise ValueError(f"trailing characters after tree: "
+                                 f"{s[_offset(pieces, i):]!r}")
+            delimiter = pieces[i]
+            if delimiter == ",":
+                open_children[-1].append(vertex)
+                i += 1
                 break
-            raise ValueError(f"unexpected character {s[pos]!r} in tree text")
-        if len(children) < 2:
-            raise ValueError("internal vertex with a single child")
-        try:
-            return AssemblyTree.node(children), pos
-        except ValueError as exc:
-            raise ValueError(f"invalid tree: {exc}") from None
-    start = pos
-    while pos < len(s) and s[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ValueError(f"expected a leaf label at position {start} of {s!r}")
-    return AssemblyTree.leaf(int(s[start:pos])), pos
+            if delimiter == "(":
+                raise ValueError("unexpected character '(' in tree text")
+            children = open_children.pop()
+            children.append(vertex)
+            if len(children) < 2:
+                raise ValueError("internal vertex with a single child")
+            vertex = _node(children)
+            rest = pieces[i + 1]
+            if rest:
+                if open_children:
+                    raise ValueError(f"unexpected character {rest[0]!r} in tree text")
+                raise ValueError(f"trailing characters after tree: "
+                                 f"{s[_offset(pieces, i + 1):]!r}")
+            i += 2
+
+
+def _offset(pieces: list, i: int) -> int:
+    return sum(map(len, pieces[:i]))
+
+
+def _raise_bad_leaf(s: str, pieces: list, i: int, nested: bool):
+    """Raise the error for text piece ``pieces[i]``, which is not all digits:
+    its leading digits (if any) are a leaf, and the first character after
+    them is unexpected."""
+    word = pieces[i]
+    digits = 0
+    while digits < len(word) and word[digits].isdigit():
+        digits += 1
+    if digits == 0:
+        raise ValueError(f"expected a leaf label at position "
+                         f"{_offset(pieces, i)} of {s!r}")
+    AssemblyTree.leaf(int(word[:digits]))
+    if nested:
+        raise ValueError(f"unexpected character {word[digits]!r} in tree text")
+    raise ValueError(f"trailing characters after tree: "
+                     f"{s[_offset(pieces, i) + digits:]!r}")
 
 
 def act(g: Permutation, tau: AssemblyTree) -> AssemblyTree:
     """The tree whose vertex labels are the g-images of tau's vertex labels."""
-    if g.degree < max(tau.labels):
+    if g.degree < tau.max_label:
         raise ValueError("permutation degree does not cover the leaf labels")
-    return _act(g, tau)
+    image = _act(g.images, tau)
+    if len(image.labels) != tau.size:
+        raise ValueError("permutation is not one-to-one on the leaf labels")
+    return image
 
 
-def _act(g: Permutation, tau: AssemblyTree) -> AssemblyTree:
-    if tau.is_leaf:
-        return AssemblyTree.leaf(g(tau.min_label))
-    return AssemblyTree.node(_act(g, c) for c in tau.children)
+def _act(images: tuple, tau: AssemblyTree) -> AssemblyTree:
+    """``act`` by the permutation with these images, unchecked."""
+    leaf = AssemblyTree.leaf
+    done = []  # finished image subtrees, in the order the walk leaves them
+    stack = [tau]  # subtrees to map, and child counts of vertices to build
+    while stack:
+        v = stack.pop()
+        if v.__class__ is int:
+            children = done[-v:]
+            del done[-v:]
+            done.append(_node(children))
+        elif v.children:
+            stack.append(len(v.children))
+            stack.extend(v.children)
+        else:
+            done.append(leaf(images[v.min_label - 1]))
+    return done[0]
 
 
 def enumerate_all_trees(labels: Iterable[int]) -> Iterator[AssemblyTree]:
@@ -182,12 +307,15 @@ def _trees(labels: tuple, memo: dict) -> Iterator[AssemblyTree]:
 
 def _trees_uncached(labels: tuple, memo: dict) -> Iterator[AssemblyTree]:
     for blocks in set_partitions(labels, min_parts=2):
+        # every tree below is built unchecked from one block per child
+        if sorted(itertools.chain.from_iterable(blocks)) != list(labels):
+            raise RuntimeError(f"{blocks} is not a set partition of {labels}")
         yield from _combine(blocks, 0, [], memo)
 
 
 def _combine(blocks, i, acc, memo) -> Iterator[AssemblyTree]:
     if i == len(blocks):
-        yield AssemblyTree.node(acc)
+        yield _node(acc)
         return
     for sub in _trees(blocks[i], memo):
         acc.append(sub)

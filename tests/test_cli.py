@@ -130,6 +130,19 @@ def test_fixed_trees_of_a_large_trivial_group_is_one_line_error(capsys):
     assert code == 0 and len(out.splitlines()) == 2752
 
 
+def test_fixed_trees_refuses_a_listing_past_the_listing_bound(capsys):
+    # trivial:9 fixes all 12,818,912 trees on 9 leaves, which is inside the
+    # enumeration bound but past the listing bound
+    for extra in ((), ("--count-only",)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "fixed-trees", "--group", "trivial:9",
+                                 *extra)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == ("error: fixed-tree count 12818912 exceeds the listing "
+                       "bound 1000000\n")
+
+
 def test_blocks_refuses_more_orbits_than_the_enumeration_bound(capsys):
     # one block system per set partition of the orbits: Bell(12) - 1 of
     # them here, so the refusal must come before any enumeration
@@ -201,6 +214,14 @@ def test_bad_tree_error(capsys):
     assert code == 1 and "single child" in err
 
 
+def test_repeated_label_error_line(capsys):
+    # the repeat sits in distant subtrees; the parser's one label set finds it
+    code, out, err = run_cli(capsys, "fixes", "--group", "klein4", "--perm",
+                             "()", "--tree", "((1,2),(3,(4,1)))")
+    assert (code, out) == (1, "")
+    assert err == "error: invalid tree: children leaf sets overlap\n"
+
+
 CENSUS_COMMANDS = [
     ("fixed-trees", "--group", "icosahedral", "--count-only"),
     ("series", "--group", "icosahedral", "--order", "2"),
@@ -251,15 +272,28 @@ def test_series_of_the_trivial_group_ignores_the_bound(capsys, monkeypatch):
     assert err == "error: group order 2 exceeds subgroup-enumeration bound 0\n"
 
 
-def test_deep_tree_is_one_line_error(capsys):
+def test_deep_tree_succeeds(capsys):
     caterpillar = "1500"
     for leaf in range(1499, 0, -1):
         caterpillar = f"({leaf},{caterpillar})"
     code, out, err = run_cli(capsys, "stabilizer", "--group", "trivial:1500",
                              "--tree", caterpillar)
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "nests too deeply" in err
+    assert (code, err) == (0, "")
+    assert "\norder: 1\n" in out
+
+
+def test_ten_thousand_leaf_caterpillar_in_a_fresh_process():
+    # about 69 KB of argv, under the kernel's 128 KiB limit on one argument
+    n = 10_000
+    caterpillar = "".join(f"({leaf}," for leaf in range(1, n)) + str(n) + \
+        ")" * (n - 1)
+    src = str(Path(capsid.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "capsid.cli", "stabilizer", "--group",
+         f"trivial:{n}", "--tree", caterpillar],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.endswith(b"\norder: 1\norbit-size: 1\n")
 
 
 def test_unknown_subcommand_exits_2(capsys):

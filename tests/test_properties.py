@@ -11,7 +11,7 @@ from capsid.perms import Permutation, close_generators, group_from_text  # noqa:
 from capsid.stabilizers import fixes, stabilizer  # noqa: E402
 from capsid.trees import act, parse_tree  # noqa: E402
 
-from oracles import brute_stabilizer, random_tree  # noqa: E402
+from oracles import brute_stabilizer, random_tree, vertices  # noqa: E402
 
 
 @st.composite
@@ -62,3 +62,14 @@ def test_text_form_round_trips(case):
     text = tau.to_text()
     assert parse_tree(text) == tau
     assert parse_tree(text).to_text() == text
+
+
+@PROPERTY
+@given(groups_and_trees())
+def test_stored_fields_match_the_label_set(case):
+    _, tau = case
+    labels = tau.labels
+    assert tau.size == len(labels)
+    assert (tau.min_label, tau.max_label) == (min(labels), max(labels))
+    assert labels == {v.min_label for v in vertices(parse_tree(tau.to_text()))
+                      if v.is_leaf}

@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from capsid.perms import Permutation, parse_permutation, trivial_group
 from capsid.series import fixed_tree_count
+from capsid.stabilizers import fixes
 from capsid.trees import (AssemblyTree, act, enumerate_all_trees, parse_tree,
                           pointer_view, set_partitions)
 
@@ -26,7 +28,7 @@ def test_parse_examples():
 
 @pytest.mark.parametrize("text", ["((1),2)", "(1)", "(1,1)", "", "()",
                                   "(1,2))", "((1,2)", "(1,2),3", "(0,1)",
-                                  "(1,x)"])
+                                  "(1,x)", "((1,2),(3,(4,1)))"])
 def test_parse_errors(text):
     with pytest.raises(ValueError):
         parse_tree(text)
@@ -42,6 +44,13 @@ def test_node_validation():
         AssemblyTree.node([AssemblyTree.leaf(1)])
     with pytest.raises(ValueError):
         AssemblyTree.leaf(0)
+
+
+def test_node_rejects_overlapping_children():
+    with pytest.raises(ValueError, match="overlap"):
+        AssemblyTree.node([parse_tree("(1,2)"), AssemblyTree.leaf(2)])
+    with pytest.raises(ValueError, match="overlap"):
+        AssemblyTree.node([parse_tree("((1,2),3)"), parse_tree("(4,(5,1))")])
 
 
 def test_act_examples():
@@ -102,6 +111,23 @@ def test_canonical_equality():
     for a in sample:
         for b in sample:
             assert (a == b) == (a.to_text() == b.to_text())
+
+
+def test_hundred_thousand_leaf_caterpillar():
+    # trees store no label sets and no tree path recurses, so a caterpillar
+    # this deep costs memory linear in its leaves
+    n = 100_000
+    text = "".join(f"({leaf}," for leaf in range(1, n)) + str(n) + ")" * (n - 1)
+    tracemalloc.start()
+    try:
+        tau = parse_tree(text)
+        assert fixes(Permutation.identity(n), tau)
+        assert tau.to_text() == text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tau.size, tau.max_label) == (n, n)
+    assert peak < 200 * 2 ** 20
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 4), (4, 26),
