@@ -17,9 +17,27 @@ and for a group G of order > 1 acting simply, with one summand per subgroup,
 
 Every subgroup of G is a node of G's subgroup lattice, and conjugate
 subgroups have equal counts, so the whole family is solved bottom-up over
-the lattice's conjugacy classes by one recurrence: the unknown enters the
-right side linearly through the exponential's degree-one term, so each new
-count is determined by lower-order data.
+the lattice's conjugacy classes, each new count from lower-order data.  Two
+recurrences do it, both binomial convolutions read off a derivative.
+
+For H = 1, differentiating the base equation gives 2f' - 1 = f' exp(f),
+and exp(f) = 1 - x + 2f turns that into f'(1 + x - 2f) = 1, so
+
+    t_n = [n = 1] - (n-1) t_{n-1} + sum_{k=1}^{n-1} C(n,k) t_k t_{n-k}.
+
+The sum is symmetric in k <-> n-k: half its terms and, for even n, one
+middle square give it, so it costs about n/2 big products.
+
+For H != 1, with u the EGF of the argument of exp, 1 + 2t = exp(u) gives
+2t' = u'(1 + 2t), so
+
+    t_n = w_n + 2 sum_{k=1}^{n-1} C(n-1,k-1) u_k t_{n-k},
+
+where u = t + w and w_n gathers the lower classes' counts (see
+:func:`class_tree_counts`).  That costs n - 1 big products per order; a
+symmetric form of it, over u and t, would cost about 1.5n, so only the
+trivial class, which is also the one solved to the highest order, uses the
+symmetric recurrence.
 """
 
 from __future__ import annotations
@@ -69,13 +87,19 @@ def class_tree_counts(lat: SubgroupLattice,
     needs.  Conjugate subgroups share their counts, so one solve per class
     in ``lat.classes`` order (smaller subgroups first) suffices.
 
-    For the class of H, with w_n = sum over nodes K < H of
-    t_n(K) * (H:K)**(n-1) and u = t + w, the equation for g = exp(u) read
-    through g' = u' g as a binomial convolution gives
+    For the class of H, w_n = sum over nodes K < H of t_n(K) * (H:K)**(n-1)
+    and u = t + w.  The trivial class has w = 0 and, from
+    f'(1 + x - 2f) = 1,
 
-        t_n = [H = 1 and n = 1] + w_n + sum_{k=1}^{n-1} C(n-1, k-1) u_k g_{n-k}
+        t_n = [n = 1] - (n-1) t_{n-1} + sum_{k=1}^{n-1} C(n,k) t_k t_{n-k},
 
-    with g_0 = 1 and g_n = 2 t_n - [H = 1 and n = 1].
+    whose sum is twice its terms below n/2 plus, for even n, the middle
+    square.  Every other class, from 2t' = u'(1 + 2t),
+
+        t_n = w_n + 2 sum_{k=1}^{n-1} C(n-1, k-1) u_k t_{n-k}.
+
+    The symmetric form would cost the other classes about 1.5n big products
+    against n - 1, so they keep this one.
     """
     classes = lat.classes
     # below[c]: ((class of K, (H:K)), multiplicity) over the nodes K < H
@@ -94,21 +118,26 @@ def class_tree_counts(lat: SubgroupLattice,
     trivial = lat.node_class[0]
     t = [[0] * (n + 1) for n in need]
     u = [[0] * (n + 1) for n in need]
-    g = [[1] + [0] * n for n in need]
-    row = [1]   # C(n-1, k-1) for k = 1..n
+    row = [1]   # C(n, k) for k = 0..n
     for n in range(1, max(need) + 1):
-        if n > 1:
-            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        prev, row = row, [1] + [a + b for a, b in zip(row, row[1:])] + [1]
         for c in range(len(classes)):
             if need[c] < n:
                 continue
-            tc, uc, gc = t[c], u[c], g[c]
-            w = sum(mult * t[k][n] * m ** (n - 1) for (k, m), mult in below[c])
-            s = w + sum(b * uk * gk for b, uk, gk
-                        in zip(row, uc[1:n], gc[n - 1:0:-1]))
-            tc[n] = s + 1 if c == trivial and n == 1 else s
-            uc[n] = tc[n] + w
-            gc[n] = tc[n] + s   # 2 t_n - [H = 1 and n = 1]
+            tc, uc = t[c], u[c]
+            if c == trivial:
+                h = (n - 1) // 2
+                s = 2 * sum(b * tk * tj for b, tk, tj in zip(
+                    row[1:h + 1], tc[1:h + 1], tc[n - 1:n - h - 1:-1]))
+                if n % 2 == 0:
+                    s += row[n // 2] * tc[n // 2] ** 2
+                tc[n] = s - (n - 1) * tc[n - 1] + (n == 1)
+            else:
+                w = sum(mult * t[k][n] * m ** (n - 1)
+                        for (k, m), mult in below[c])
+                tc[n] = w + 2 * sum(b * uk * tj for b, uk, tj
+                                    in zip(prev, uc[1:n], tc[n - 1:0:-1]))
+                uc[n] = tc[n] + w
     return t
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from operator import itemgetter
 
 from capsid.perms import PermGroup, Permutation, close_generators
@@ -167,9 +167,10 @@ def count_trees_by_partition_recursion(n: int) -> int:
     return count(tuple(range(n)))
 
 
-def count_trees_by_recurrence(n: int) -> int:
-    """Number of trees on n labeled leaves (OEIS A000311), by integer
-    recurrences alone; independent of ``capsid.series``.
+def tree_counts_by_recurrence(n: int, modulus: int | None = None) -> list[int]:
+    """Numbers of trees on 0..n labeled leaves (OEIS A000311), by integer
+    recurrences alone; independent of ``capsid.series``.  With ``modulus``,
+    every count is reduced modulo it, binomials included.
 
     With A the tree counts and G the counts of exp(A) (forests: set
     partitions into blocks, each carrying a tree),
@@ -180,12 +181,26 @@ def count_trees_by_recurrence(n: int) -> int:
     """
     a = [0] * (n + 1)
     g = [1] + [0] * n
+    row = [1]   # C(m-1, k-1) for k = 1..m
     for m in range(1, n + 1):
-        a[m] = 1 if m == 1 else sum(comb(m - 1, k - 1) * a[k] * g[m - k]
-                                    for k in range(1, m))
-        g[m] = sum(comb(m - 1, k - 1) * a[k] * g[m - k]
-                   for k in range(1, m + 1))
-    return a[n]
+        if m > 1:
+            row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+            if modulus:
+                row = [x % modulus for x in row]
+        forests = sum(b * a[k] * g[m - k]
+                      for k, b in zip(range(1, m), row))
+        a[m] = 1 if m == 1 else forests
+        g[m] = forests + a[m]   # the k = m term is C(m-1,m-1) A_m G_0
+        if modulus:
+            a[m] %= modulus
+            g[m] %= modulus
+    return a
+
+
+def count_trees_by_recurrence(n: int) -> int:
+    """Number of trees on n labeled leaves: the last entry of
+    :func:`tree_counts_by_recurrence`."""
+    return tree_counts_by_recurrence(n)[n]
 
 
 def functional_equation_holds(group: PermGroup, counts: list[int]) -> bool:

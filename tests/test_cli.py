@@ -12,6 +12,8 @@ import pytest
 import capsid
 from capsid.cli import load_group, main
 
+from oracles import tree_counts_by_recurrence
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -334,6 +336,26 @@ def test_icosa_report_warns_off_t1(capsys):
     assert err == "warning: no published reference values exist for T != 1\n"
     code, _, err = run_cli(capsys, "icosa-report", "--T", "1")
     assert code == 0 and err == ""
+
+
+@pytest.mark.slow
+def test_t30_total_matches_modular_oracle():
+    # 1,800 leaves: the 5,818-digit total, checked modulo two primes
+    src = str(Path(capsid.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "capsid.cli", "icosa-report", "--T", "30"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
+    line, = (s for s in proc.stdout.decode().splitlines()
+             if s.startswith("total trees: "))
+    digits = line.removeprefix("total trees: ")
+    for p in (2 ** 61 - 1, 10 ** 9 + 7):
+        # by 100-digit chunks, under the int-from-str digit cap
+        residue = 0
+        for i in range(0, len(digits), 100):
+            chunk = digits[i:i + 100]
+            residue = (residue * 10 ** len(chunk) + int(chunk)) % p
+        assert residue == tree_counts_by_recurrence(1800, p)[1800]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

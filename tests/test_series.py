@@ -8,7 +8,8 @@ from capsid.perms import (close_generators, cyclic_group, parse_permutation,
 from capsid.series import (PowerSeries, base_tree_series, class_tree_counts,
                            fixed_tree_count, fixed_tree_series)
 
-from oracles import count_trees_by_partition_recursion, functional_equation_holds
+from oracles import (count_trees_by_partition_recursion,
+                     functional_equation_holds, tree_counts_by_recurrence)
 
 
 def test_base_series_counts():
@@ -127,3 +128,12 @@ def test_tree_count_sixty_digits():
     value = fixed_tree_count(trivial_group(1), 60)
     assert len(str(value)) == 104
     assert str(value).startswith("19244655101324373947")
+
+
+def test_every_trivial_count_matches_integer_oracle():
+    # n = 1 and 2, odd n, and even n with the middle square t_{n/2}^2
+    counts = fixed_tree_series(trivial_group(1), 420).counts()
+    expected = tree_counts_by_recurrence(420)
+    assert len(counts) == len(expected) == 421
+    for n, (got, want) in enumerate(zip(counts, expected)):
+        assert got == want, n
