@@ -18,8 +18,7 @@ from .perms import (PermGroup, Permutation, SubgroupClass, builtin_group,
                     close_generators, cyclic_group, group_from_text,
                     icosahedral_group, klein_group, parse_permutation,
                     replicated_action, trivial_group)
-from .series import (PowerSeries, base_tree_series, fixed_tree_count,
-                     fixed_tree_series)
+from .series import base_tree_series, fixed_tree_count, fixed_tree_series
 from .stabilizers import (StabilizerResult, TraversalAudit, fixes,
                           locate_image, pointer_traversal_audit, stabilizer)
 from .trees import (AssemblyTree, TreePointerView, act, enumerate_all_trees,

@@ -9,8 +9,10 @@ full decimal.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -104,12 +106,12 @@ def _cmd_series(args, max_order) -> int:
         raise ValueError("order must be >= 1")
     if group.order > 1:
         _bounded(group, max_order)
-    ps = sr.fixed_tree_series(group, args.order)
+    counts = sr.fixed_tree_series(group, args.order)
     rows = []
     for n in range(1, args.order + 1):
-        row = (n, n * group.order, ps.count(n))
+        row = (n, n * group.order, counts[n])
         if args.egf:
-            row += (ps[n],)
+            row += (Fraction(counts[n], math.factorial(n)),)
         rows.append(row)
     header = ("n", "leaves", "count") + (("egf",) if args.egf else ())
     sys.stdout.write(_table(rows, header, args.format))

@@ -96,10 +96,6 @@ class FixedTreeDiagnostics:
     produced: int
     distinct: int
 
-    @property
-    def uniqueness_filters_sufficed(self) -> bool:
-        return self.produced == self.distinct
-
 
 def construction_recipes(group: PermGroup, points: Optional[frozenset] = None
                          ) -> Iterator[FixedTreeRecipe]:

@@ -18,7 +18,6 @@ conjugacy class and files all its conjugates at once.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -65,17 +64,8 @@ class Permutation:
         simg = self.images
         return Permutation(simg[o - 1] for o in other.images)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(inv)
-
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its minimum."""

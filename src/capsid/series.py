@@ -1,11 +1,7 @@
 """The functional equations counting fixed assembly trees, solved in
-integers, and the truncated exponential generating functions that carry
-the solved counts.
+integers.
 
-The counts t_n(H) are integers and are computed as integers.  A series with
-coefficients c_0..c_N represents an EGF, so the count at index n is
-c_n * n!; Fractions appear only in :class:`PowerSeries`, which the wrappers
-build as t_n / n!.  No floating point.
+The EGF of the counts t_n(H) is f_H(x) = sum over n of t_n(H) x^n / n!.
 
 The base equation, with f the EGF of all assembly-tree counts, is
 
@@ -42,39 +38,10 @@ symmetric recurrence.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import SubgroupLattice, build_lattice
 from .perms import PermGroup, trivial_group
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """A truncated EGF with exact rational coefficients c_0..c_order."""
-    order: int
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("coefficient count must be order + 1")
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coefficients[n]
-
-    def count(self, n: int) -> int:
-        """The integer count c_n * n!; raises if it is not a non-negative
-        integer, which would mean a solver bug upstream."""
-        value = self.coefficients[n] * math.factorial(n)
-        if value.denominator != 1 or value < 0:
-            raise ArithmeticError(
-                f"coefficient {n} gives non-integer or negative count {value}")
-        return int(value)
-
-    def counts(self) -> list[int]:
-        return [self.count(n) for n in range(self.order + 1)]
 
 
 def class_tree_counts(lat: SubgroupLattice,
@@ -141,8 +108,13 @@ def class_tree_counts(lat: SubgroupLattice,
     return t
 
 
-def _group_counts(group: PermGroup, order: int) -> list[int]:
-    """t_0..t_order of ``group`` itself, solved over its own lattice."""
+def fixed_tree_series(group: PermGroup, order: int) -> list[int]:
+    """t_0..t_order of G, with t_0 = 0: t_n is the number of assembly trees
+    on n*|G| leaves fixed by every element of G, for a group acting simply.
+
+    Solved over G's own lattice.  For the trivial group t_n is the total
+    count of trees on n leaves.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     lat = build_lattice(group)
@@ -150,35 +122,14 @@ def _group_counts(group: PermGroup, order: int) -> list[int]:
     return class_tree_counts(lat, {top: order})[top]
 
 
-def _egf(counts: list[int]) -> PowerSeries:
-    return PowerSeries(len(counts) - 1,
-                       tuple(Fraction(c, math.factorial(n))
-                             for n, c in enumerate(counts)))
-
-
-def base_tree_series(order: int) -> PowerSeries:
-    """The EGF of the total assembly-tree counts 1, 1, 4, 26, 236, 2752, ...
-
-    Solves 1 - x + 2 f = exp(f) with f(0) = 0.
-    """
-    return _egf(_group_counts(trivial_group(1), order))
-
-
-def fixed_tree_series(group: PermGroup, order: int) -> PowerSeries:
-    """The EGF of t_n(G): the number of assembly trees on n*|G| leaves fixed
-    by every element of G, for a group acting simply.
-
-    For the trivial group this is :func:`base_tree_series`.
-    """
-    return _egf(_group_counts(group, order))
+def base_tree_series(order: int) -> list[int]:
+    """The total assembly-tree counts 0, 1, 1, 4, 26, 236, 2752, ...,
+    whose EGF f solves 1 - x + 2 f = exp(f)."""
+    return fixed_tree_series(trivial_group(1), order)
 
 
 def fixed_tree_count(group: PermGroup, n: int) -> int:
-    """t_n(G): the number of assembly trees on n*|G| leaves fixed by G.
-
-    For the trivial group this is the total count of trees on n leaves.
-    """
+    """t_n(G): the number of assembly trees on n*|G| leaves fixed by G."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _group_counts(group, n)[n]
-
+    return fixed_tree_series(group, n)[n]

@@ -75,10 +75,6 @@ class AssemblyTree:
         return _node(children)
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def labels(self) -> frozenset:
         """The set of leaf labels below this vertex."""
         found, stack = [], [self]

@@ -55,6 +55,24 @@ def brute_fixed_trees(group: PermGroup, labels) -> set[AssemblyTree]:
             if all(act(g, tau) == tau for g in gens)}
 
 
+def element_order(p: Permutation) -> int:
+    """The least k >= 1 with p**k the identity, composing image tuples."""
+    identity = tuple(range(1, len(p.images) + 1))
+    power, k = p.images, 1
+    while power != identity:
+        power = tuple(p.images[y - 1] for y in power)
+        k += 1
+    return k
+
+
+def _inverse_images(images: tuple) -> tuple:
+    """The images of the inverse: point y goes to the x with images[x-1] = y."""
+    inverse = [0] * len(images)
+    for x, y in enumerate(images, 1):
+        inverse[y - 1] = x
+    return tuple(inverse)
+
+
 def join_images(sub: frozenset, gens, times: dict) -> frozenset:
     """The group of image tuples generated by the group ``sub`` and
     ``gens``, which must include generators of ``sub``: one right coset
@@ -104,7 +122,8 @@ def brute_subgroups(group: PermGroup) -> list[list[frozenset]]:
     def key(sub):
         return len(sub), sorted(sub)
 
-    pairs = [(p.images, times[p.inverse().images]) for p in group.elements]
+    pairs = [(p.images, times[_inverse_images(p.images)])
+             for p in group.elements]
     classes, assigned = [], set()
     for sub in sorted(known, key=key):
         if sub in assigned:
@@ -214,7 +233,7 @@ def functional_equation_holds(group: PermGroup, counts: list[int]) -> bool:
     a = [Fraction(0)] * (top + 1)
     for sub in group.all_subgroups():
         index = group.order // sub.order
-        t = counts if index == 1 else fixed_tree_series(sub, top).counts()
+        t = counts if index == 1 else fixed_tree_series(sub, top)
         for n in range(1, top + 1):
             a[n] += Fraction(t[n] * index ** (n - 1), factorial(n))
     b = [Fraction(1)] + [Fraction(0)] * top

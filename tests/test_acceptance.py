@@ -95,8 +95,8 @@ def test_acceptance_01_base_sequence(capsys):
 
 def test_acceptance_02_order_two_and_klein_sequences(klein, k1, capsys):
     start = time.perf_counter()
-    z2 = fixed_tree_series(k1, 6).counts()[1:]
-    v4 = fixed_tree_series(klein, 6).counts()[1:]
+    z2 = fixed_tree_series(k1, 6)[1:]
+    v4 = fixed_tree_series(klein, 6)[1:]
     elapsed = time.perf_counter() - start
     ok = (z2 == [1, 6, 72, 1312, 32128, 989696]
           and v4 == [4, 104, 4896, 341120, 31945728, 3790876672]

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -99,6 +101,16 @@ def test_series_klein_csv_with_egf(capsys):
                    "1,4,4,4\n"
                    "2,8,104,52\n"
                    "3,12,4896,816\n")
+
+
+def test_series_trivial_csv_egf_matches_the_integer_recurrence(capsys):
+    code, out, err = run_cli(capsys, "series", "--group", "trivial:1",
+                             "--order", "12", "--format", "csv", "--egf")
+    assert (code, err) == (0, "")
+    counts = tree_counts_by_recurrence(12)
+    assert out == "n,leaves,count,egf\n" + "".join(
+        f"{n},{n},{counts[n]},{Fraction(counts[n], factorial(n))}\n"
+        for n in range(1, 13))
 
 
 def test_stabilizer_golden(capsys):

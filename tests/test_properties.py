@@ -72,4 +72,4 @@ def test_stored_fields_match_the_label_set(case):
     assert tau.size == len(labels)
     assert (tau.min_label, tau.max_label) == (min(labels), max(labels))
     assert labels == {v.min_label for v in vertices(parse_tree(tau.to_text()))
-                      if v.is_leaf}
+                      if not v.children}

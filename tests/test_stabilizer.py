@@ -115,7 +115,7 @@ def test_children_image_characterization():
                 label_to_parent[c.labels] = v.labels
         ok = True
         for v in vertices(tau):
-            if v.is_leaf:
+            if not v.children:
                 continue
             images = [frozenset(g(x) for x in c.labels) for c in v.children]
             parents = {label_to_parent.get(img) for img in images}

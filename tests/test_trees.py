@@ -23,7 +23,7 @@ def test_parse_examples():
     assert tau.labels == frozenset({1, 2, 3, 4})
     assert [sorted(c.labels) for c in tau.children] == [[1, 2], [3], [4]]
     assert parse_tree("(1,2)").to_text() == "(1,2)"
-    assert parse_tree("9").is_leaf
+    assert not parse_tree("9").children
 
 
 @pytest.mark.parametrize("text", ["((1),2)", "(1)", "(1,1)", "", "()",
