@@ -2,9 +2,9 @@
 
 For a finite permutation group acting simply on a finite set, this package
 builds and counts the rooted leaf-labeled trees (assembly trees) fixed by
-subgroups, computes stabilizers of given trees, and derives the exact
-distribution of pathway (orbit) sizes and probabilities, all in arbitrary-
-precision rational arithmetic.
+subgroups, computes stabilizers of given trees, and derives the
+distribution of pathway (orbit) sizes and probabilities, all exactly: the
+counts are arbitrary-precision integers and the probabilities fractions.
 """
 
 from .fixed_trees import (BlockSystem, FixedTreeDiagnostics, FixedTreeRecipe,

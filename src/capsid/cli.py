@@ -172,6 +172,8 @@ def _cmd_enumerate_trees(args, max_order) -> int:
             labels = [int(x) for x in args.labels.split(",")]
         except ValueError:
             raise ValueError(f"malformed label list {args.labels!r}") from None
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"repeated label in label list {args.labels!r}")
     stream = tr.enumerate_all_trees(labels)
     if args.count_only:
         print(sum(1 for _ in stream))

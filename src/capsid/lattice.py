@@ -20,9 +20,7 @@ class SubgroupLattice:
     None where the pair is incomparable.
     """
 
-    def __init__(self, group: PermGroup, nodes: list[PermGroup],
-                 classes: list[SubgroupClass]):
-        self.group = group
+    def __init__(self, nodes: list[PermGroup], classes: list[SubgroupClass]):
         self.nodes = tuple(nodes)
         self.classes = tuple(classes)
         self._node_index = {sub: i for i, sub in enumerate(self.nodes)}
@@ -85,4 +83,4 @@ def build_lattice(group: PermGroup) -> SubgroupLattice:
     in by the defining recursion."""
     nodes = group.all_subgroups()
     classes = group.conjugacy_classes_of_subgroups()
-    return SubgroupLattice(group, nodes, classes)
+    return SubgroupLattice(nodes, classes)

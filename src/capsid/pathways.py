@@ -50,11 +50,11 @@ class PathwayDistribution:
 
 
 def tbar(group: PermGroup, sub: PermGroup, t: dict[PermGroup, int],
-         lat: Optional[SubgroupLattice] = None) -> int:
+         lat: SubgroupLattice) -> int:
     """Moebius inversion at one subgroup: the number of trees fixed by sub
-    and by nothing larger, given t on every supergroup."""
-    if lat is None:
-        lat = build_lattice(group)
+    and by nothing larger, given t on every supergroup of ``lat``, the
+    lattice of ``group``.  ``group`` itself is not read; it stays first
+    because callers, the benchmark among them, pass it by position."""
     value = sum(lat.mobius_value(sub, over) * t[over]
                 for over in lat.interval_above(sub))
     if value < 0:

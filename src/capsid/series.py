@@ -13,16 +13,19 @@ and for a group G of order > 1 acting simply, with one summand per subgroup,
 
 Every subgroup of G is a node of G's subgroup lattice, and conjugate
 subgroups have equal counts, so the whole family is solved bottom-up over
-the lattice's conjugacy classes, each new count from lower-order data.  Two
-recurrences do it, both binomial convolutions read off a derivative.
+the lattice's conjugacy classes, each new count from lower-order data.
 
-For H = 1, differentiating the base equation gives 2f' - 1 = f' exp(f),
-and exp(f) = 1 - x + 2f turns that into f'(1 + x - 2f) = 1, so
+For H = 1, Lagrange inversion of x = 1 + 2f - exp(f) gives a closed form
+with no big-by-big products,
 
-    t_n = [n = 1] - (n-1) t_{n-1} + sum_{k=1}^{n-1} C(n,k) t_k t_{n-k}.
+    t_n = sum_{k=0}^{n-1} S(n-1+k, k),
 
-The sum is symmetric in k <-> n-k: half its terms and, for even n, one
-middle square give it, so it costs about n/2 big products.
+where S(m, k), the associated Stirling numbers of the second kind, count
+the partitions of an m-set into k blocks of size at least 2 (Comtet,
+*Advanced Combinatorics*, 1974, ch. 3; OEIS A008299).  From
+S(m, k) = k S(m-1, k) + (m-1) S(m-2, k-1), the diagonal D_d[k] = S(k+d, k)
+follows from the one before it, D_d[k] = k D_{d-1}[k] + (k+d-1) D_{d-1}[k-1],
+and t_{d+1} is the sum of D_d.
 
 For H != 1, with u the EGF of the argument of exp, 1 + 2t = exp(u) gives
 2t' = u'(1 + 2t), so
@@ -30,10 +33,7 @@ For H != 1, with u the EGF of the argument of exp, 1 + 2t = exp(u) gives
     t_n = w_n + 2 sum_{k=1}^{n-1} C(n-1,k-1) u_k t_{n-k},
 
 where u = t + w and w_n gathers the lower classes' counts (see
-:func:`class_tree_counts`).  That costs n - 1 big products per order; a
-symmetric form of it, over u and t, would cost about 1.5n, so only the
-trivial class, which is also the one solved to the highest order, uses the
-symmetric recurrence.
+:func:`class_tree_counts`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .lattice import SubgroupLattice, build_lattice
-from .perms import PermGroup, trivial_group
+from .perms import PermGroup
 
 
 def class_tree_counts(lat: SubgroupLattice,
@@ -55,18 +55,10 @@ def class_tree_counts(lat: SubgroupLattice,
     in ``lat.classes`` order (smaller subgroups first) suffices.
 
     For the class of H, w_n = sum over nodes K < H of t_n(K) * (H:K)**(n-1)
-    and u = t + w.  The trivial class has w = 0 and, from
-    f'(1 + x - 2f) = 1,
-
-        t_n = [n = 1] - (n-1) t_{n-1} + sum_{k=1}^{n-1} C(n,k) t_k t_{n-k},
-
-    whose sum is twice its terms below n/2 plus, for even n, the middle
-    square.  Every other class, from 2t' = u'(1 + 2t),
-
-        t_n = w_n + 2 sum_{k=1}^{n-1} C(n-1, k-1) u_k t_{n-k}.
-
-    The symmetric form would cost the other classes about 1.5n big products
-    against n - 1, so they keep this one.
+    and u = t + w.  The trivial class (w = 0) comes whole from
+    :func:`base_tree_series`, the diagonal sums, before the order loop; every
+    other class takes the convolution t_n = w_n + 2 sum C(n-1, k-1) u_k t_{n-k}
+    of the module docstring, one order at a time.
     """
     classes = lat.classes
     # below[c]: ((class of K, (H:K)), multiplicity) over the nodes K < H
@@ -84,27 +76,21 @@ def class_tree_counts(lat: SubgroupLattice,
             need[k] = max(need[k], need[c])
     trivial = lat.node_class[0]
     t = [[0] * (n + 1) for n in need]
+    if need[trivial]:
+        t[trivial] = base_tree_series(need[trivial])
     u = [[0] * (n + 1) for n in need]
-    row = [1]   # C(n, k) for k = 0..n
+    row = [1]   # C(n-1, k) for k = 0..n-1
     for n in range(1, max(need) + 1):
-        prev, row = row, [1] + [a + b for a, b in zip(row, row[1:])] + [1]
         for c in range(len(classes)):
-            if need[c] < n:
+            if c == trivial or need[c] < n:
                 continue
             tc, uc = t[c], u[c]
-            if c == trivial:
-                h = (n - 1) // 2
-                s = 2 * sum(b * tk * tj for b, tk, tj in zip(
-                    row[1:h + 1], tc[1:h + 1], tc[n - 1:n - h - 1:-1]))
-                if n % 2 == 0:
-                    s += row[n // 2] * tc[n // 2] ** 2
-                tc[n] = s - (n - 1) * tc[n - 1] + (n == 1)
-            else:
-                w = sum(mult * t[k][n] * m ** (n - 1)
-                        for (k, m), mult in below[c])
-                tc[n] = w + 2 * sum(b * uk * tj for b, uk, tj
-                                    in zip(prev, uc[1:n], tc[n - 1:0:-1]))
-                uc[n] = tc[n] + w
+            w = sum(mult * t[k][n] * m ** (n - 1)
+                    for (k, m), mult in below[c])
+            tc[n] = w + 2 * sum(b * uk * tj for b, uk, tj
+                                in zip(row, uc[1:n], tc[n - 1:0:-1]))
+            uc[n] = tc[n] + w
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
     return t
 
 
@@ -123,9 +109,19 @@ def fixed_tree_series(group: PermGroup, order: int) -> list[int]:
 
 
 def base_tree_series(order: int) -> list[int]:
-    """The total assembly-tree counts 0, 1, 1, 4, 26, 236, 2752, ...,
-    whose EGF f solves 1 - x + 2 f = exp(f)."""
-    return fixed_tree_series(trivial_group(1), order)
+    """The total assembly-tree counts 0, 1, 1, 4, 26, 236, 2752, ..., whose
+    EGF f solves 1 - x + 2 f = exp(f): t_{d+1} sums the diagonal D_d of
+    associated Stirling numbers, each diagonal updated in place."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    t, diagonal = [0, 1], [1]   # D_0 = [S(0, 0)]
+    for d in range(1, order):
+        diagonal.append(0)
+        for k in range(d, 0, -1):
+            diagonal[k] = k * diagonal[k] + (k + d - 1) * diagonal[k - 1]
+        diagonal[0] = 0   # S(d, 0) = 0 once d >= 1
+        t.append(sum(diagonal))
+    return t
 
 
 def fixed_tree_count(group: PermGroup, n: int) -> int:

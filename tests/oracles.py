@@ -5,7 +5,7 @@ acting with every element, orbit partitions from exhaustive orbits of the
 enumerated tree list, the subgroup census from a plain fixpoint on image
 tuples, and counts from a direct set-partition recursion or a plain integer
 recurrence, neither of which touches the generating-function solver.  The
-two identity checks read counts from the public solver but do their own
+three identity checks read counts from the public solver but do their own
 arithmetic.
 """
 
@@ -244,6 +244,40 @@ def functional_equation_holds(group: PermGroup, counts: list[int]) -> bool:
     if group.order == 1:
         lhs[1] -= 1
     return b == lhs
+
+
+def composition_identity_holds(lat, counts: list[list[int]]) -> bool:
+    """Whether every class H != 1 of the lattice ``lat`` satisfies
+    u_H = f(2 w_H) through the order of its count list ``counts[c]``.
+
+    f is the EGF of :func:`tree_counts_by_recurrence`, w_n(H) is the sum over
+    nodes K < H of t_n(K) (H:K)^(n-1), and u = t + w.  Proof: 1 + 2t = e^u
+    and u = t + w give 1 - 2w + 2u = e^u, so 2w = F(u) with
+    F(y) = 1 + 2y - e^y, and f inverts F by the base equation x = F(f).
+    The composition is done here in Fractions, term by term."""
+    for c, cls in enumerate(lat.classes):
+        h = lat.index_of(cls.representative)
+        if h == 0:
+            continue
+        top = len(counts[c]) - 1
+        f = tree_counts_by_recurrence(top)
+        w = [sum(counts[lat.node_class[k]][n]
+                 * (lat.nodes[h].order // lat.nodes[k].order) ** (n - 1)
+                 for k in range(h) if lat.leq[k][h]) if n else 0
+             for n in range(top + 1)]
+        u = [Fraction(t + wn, factorial(n))
+             for n, (t, wn) in enumerate(zip(counts[c], w))]
+        two_w = [Fraction(2 * wn, factorial(n)) for n, wn in enumerate(w)]
+        composed = [Fraction(0)] * (top + 1)
+        power = [Fraction(1)] + [Fraction(0)] * top   # (2w)^m, from m = 0
+        for m in range(1, top + 1):
+            power = [sum(power[i] * two_w[n - i] for i in range(n + 1))
+                     for n in range(top + 1)]
+            for n in range(top + 1):
+                composed[n] += Fraction(f[m], factorial(m)) * power[n]
+        if composed != u:
+            return False
+    return True
 
 
 def burnside_total(group: PermGroup) -> int:

@@ -70,6 +70,9 @@ def test_enumerate_trees_argument_validation(capsys):
     assert code == 1 and "exactly one" in err
     code, _, err = run_cli(capsys, "enumerate-trees", "--labels", "1,a")
     assert code == 1 and "malformed label list" in err
+    code, out, err = run_cli(capsys, "enumerate-trees", "--labels", "1,1,2")
+    assert (code, out) == (1, "")
+    assert err == "error: repeated label in label list '1,1,2'\n"
 
 
 def test_series_golden(capsys):

@@ -6,13 +6,15 @@ from capsid.perms import (close_generators, cyclic_group, parse_permutation,
 from capsid.series import (base_tree_series, class_tree_counts,
                            fixed_tree_count, fixed_tree_series)
 
-from oracles import (count_trees_by_partition_recursion, element_order,
+from oracles import (composition_identity_holds,
+                     count_trees_by_partition_recursion, element_order,
                      functional_equation_holds, tree_counts_by_recurrence)
 
 
 def test_base_series_counts():
     assert base_tree_series(9) == [0, 1, 1, 4, 26, 236, 2752, 39208, 660032,
                                    12818912]
+    assert base_tree_series(1) == [0, 1]
     assert fixed_tree_count(trivial_group(1), 2) == 1
 
 
@@ -87,6 +89,25 @@ def test_s4_classes_of_isomorphic_subgroups_share_counts():
     assert fours == [[4, 104, 4896, 341120, 31945728, 3790876672]] * 2
 
 
+def test_every_class_meets_the_composition_identity(klein, ico):
+    s4 = close_generators([parse_permutation("(1 2 3 4)", 4),
+                           parse_permutation("(1 2)", 4)], 4).regular_action()
+    for group in (klein, s4, ico):
+        lat = build_lattice(group)
+        counts = class_tree_counts(lat, {c: 8 for c in range(len(lat.classes))})
+        assert composition_identity_holds(lat, counts)
+
+
+def test_composition_oracle_rejects_a_count_off_by_one(klein):
+    lat = build_lattice(klein)
+    counts = class_tree_counts(lat, {c: 6 for c in range(len(lat.classes))})
+    for c in range(1, len(lat.classes)):
+        for n in range(1, 7):
+            wrong = [list(t) for t in counts]
+            wrong[c][n] += 1
+            assert not composition_identity_holds(lat, wrong)
+
+
 def test_integrality_through_order_twelve():
     groups = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
               close_generators([parse_permutation("(1 2 3)", 3),
@@ -105,6 +126,8 @@ def test_residuals_vanish_for_sample_groups(s3_regular, z6):
 def test_count_rejects_bad_input(klein):
     with pytest.raises(ValueError):
         fixed_tree_count(klein, 0)
+    with pytest.raises(ValueError):
+        base_tree_series(0)
 
 
 def test_icosahedral_order_one_count(ico):
@@ -118,7 +141,7 @@ def test_tree_count_sixty_digits():
 
 
 def test_every_trivial_count_matches_integer_oracle():
-    # n = 1 and 2, odd n, and even n with the middle square t_{n/2}^2
+    # every diagonal sum to order 420, against the forest recurrence
     counts = fixed_tree_series(trivial_group(1), 420)
     expected = tree_counts_by_recurrence(420)
     assert len(counts) == len(expected) == 421
