@@ -280,6 +280,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # e.g. a group or series order so large that its first list cannot
+        # be allocated; that list was never made, so printing still works
+        print("error: out of memory: the input is too large to compute",
+              file=sys.stderr)
+        return 1
     finally:
         if digit_cap is not None:
             sys.set_int_max_str_digits(digit_cap)

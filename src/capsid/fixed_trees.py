@@ -10,6 +10,9 @@ build a subtree fixed by the part's subgroup on its seed union, and attach
 the coset translates of that subtree as children of a new root.  Each
 (subgroup, seed) level and its translates are built once per generation run
 and shared by every recipe and tree that uses them; the top level streams.
+A run makes one leaf per point, and every tree shares those leaves: each
+coset representative of a level gets one table from labels to the leaves of
+their images, through which every subtree of the level is translated.
 
 Uniqueness is enforced by (a) drawing subgroups from conjugacy-class
 representatives only and (b) keeping one seed union per orbit of the
@@ -140,15 +143,16 @@ def _seed_is_canonical(seed: frozenset, normalizer_elements) -> bool:
                for n in normalizer_elements)
 
 
-def _fixed_trees_on(group: PermGroup, points: frozenset,
-                    memo: dict) -> Iterator[AssemblyTree]:
-    """Every tree on ``points`` fixed by ``group``.  ``memo`` maps (group,
-    subgroup, seed) to each sub-level tree's coset translates, built when a
-    recipe first uses them and shared by every later recipe and tree.  The
-    translates of one seed are checked disjoint once, when first built, so
-    the vertices are built unchecked."""
+def _fixed_trees_on(group: PermGroup, points: frozenset, memo: dict,
+                    leaves: list) -> Iterator[AssemblyTree]:
+    """Every tree on ``points`` fixed by ``group``, whose leaf labeled x is
+    the object ``leaves[x]``.  ``memo`` maps (group, subgroup, seed) to each
+    sub-level tree's coset translates, built when a recipe first uses them
+    and shared by every later recipe and tree.  The translates of one seed
+    are checked disjoint once, when first built, so the vertices are built
+    unchecked."""
     if len(points) == 1:
-        yield AssemblyTree.leaf(next(iter(points)))
+        yield leaves[next(iter(points))]
         return
     if group.order == 1:
         # the trivial group fixes everything
@@ -163,8 +167,12 @@ def _fixed_trees_on(group: PermGroup, points: frozenset,
                 if len({rep(x) for rep in reps for x in seed}) != \
                         len(reps) * len(seed):
                     raise RuntimeError("the coset translates of a seed overlap")
-                memo[key] = [[_act(rep.images, subtree) for rep in reps]
-                             for subtree in _fixed_trees_on(sub, seed, memo)]
+                # one leaf table per coset representative, shared by the
+                # translates of every subtree of the level
+                tables = [[None, *map(leaves.__getitem__, rep.images)]
+                          for rep in reps]
+                memo[key] = [[_act(leaf_of, subtree) for leaf_of in tables]
+                             for subtree in _fixed_trees_on(sub, seed, memo, leaves)]
             per_part.append(memo[key])
         for choice in itertools.product(*per_part):
             yield _node(itertools.chain.from_iterable(choice))
@@ -184,7 +192,9 @@ def generate_fixed_trees(group: PermGroup,
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
     points = frozenset(range(1, group.degree + 1))
-    trees = _fixed_trees_on(group, points, {})
+    # one leaf object per point, shared by every tree of the run
+    leaves = [None, *map(AssemblyTree.leaf, range(1, group.degree + 1))]
+    trees = _fixed_trees_on(group, points, {}, leaves)
     first = next(trees)
     count = fixed_tree_count(group, group.degree // group.order)
     if count > LISTING_BOUND:

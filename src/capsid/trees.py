@@ -13,10 +13,14 @@ or per construction level, not at every vertex: ``parse_tree`` keeps one
 set over the whole text, ``act`` maps through a validated bijection and
 checks its image set once, the enumerator checks each set partition, and
 the fixed-tree generator checks that each seed's coset translates are
-disjoint.  Those build through ``_node``, which checks nothing;
+disjoint.  Those build vertices unchecked: through ``_node``, which sorts
+the children, or, in the enumerator, as one choice of a tree per block of a
+root partition, whose blocks already come in canonical order.
 ``AssemblyTree.node`` checks its children.  Apart from the enumerator, whose
 depth the size bound caps, no function here recurses along a tree path, so
-trees of any depth work.
+trees of any depth work.  Trees are immutable, so they may share subtrees
+and leaves: the enumerator's memoized blocks and the fixed-tree generator's
+one leaf per point are shared by every tree built from them.
 
 The exhaustive enumerator in this module is the brute-force oracle that the
 rest of the package is tested against.
@@ -238,15 +242,16 @@ def act(g: Permutation, tau: AssemblyTree) -> AssemblyTree:
     """The tree whose vertex labels are the g-images of tau's vertex labels."""
     if g.degree < tau.max_label:
         raise ValueError("permutation degree does not cover the leaf labels")
-    image = _act(g.images, tau)
+    image = _act([None, *map(AssemblyTree.leaf, g.images)], tau)
     if len(image.labels) != tau.size:
         raise ValueError("permutation is not one-to-one on the leaf labels")
     return image
 
 
-def _act(images: tuple, tau: AssemblyTree) -> AssemblyTree:
-    """``act`` by the permutation with these images, unchecked."""
-    leaf = AssemblyTree.leaf
+def _act(leaf_of, tau: AssemblyTree) -> AssemblyTree:
+    """The image of tau whose leaf labeled x is the object ``leaf_of[x]``,
+    unchecked.  Image trees may share those leaves, since within one tree
+    every label, so every leaf object, is distinct."""
     done = []  # finished image subtrees, in the order the walk leaves them
     stack = [tau]  # subtrees to map, and child counts of vertices to build
     while stack:
@@ -259,17 +264,21 @@ def _act(images: tuple, tau: AssemblyTree) -> AssemblyTree:
             stack.append(len(v.children))
             stack.extend(v.children)
         else:
-            done.append(leaf(images[v.min_label - 1]))
+            done.append(leaf_of[v.min_label])
     return done[0]
 
 
 def enumerate_all_trees(labels: Iterable[int]) -> Iterator[AssemblyTree]:
     """Every assembly tree on the given label set, exactly once.
 
-    The stream is deterministic: root partitions are generated in a fixed
-    lexicographic block order and subtrees recurse the same way.  Sizes are
-    capped at ENUMERATION_SIZE_BOUND (9, the oracle scale) because the count
-    grows like 1, 1, 4, 26, 236, 2752, ...
+    The stream is deterministic: root partitions into two or more blocks
+    come in ``set_partitions`` order, and for each one every choice of a
+    tree per block, the first block's tree varying slowest; the trees on a
+    block come in the same order.  Each root is built in one step from the
+    blocks' memoized tree tuples; only a block too large for the memo, at
+    8 or 9 labels, is streamed again for each choice of the others.  Sizes
+    are capped at ENUMERATION_SIZE_BOUND (9, the oracle scale) because the
+    count grows like 1, 1, 4, 26, 236, 2752, ...
     """
     labels = tuple(sorted(set(labels)))
     if not labels:
@@ -287,26 +296,36 @@ def enumerate_all_trees(labels: Iterable[int]) -> Iterator[AssemblyTree]:
 _MEMO_MAX_BLOCK = 6
 
 
-def _trees(labels: tuple, memo: dict) -> Iterator[AssemblyTree]:
-    if len(labels) == 1:
-        yield AssemblyTree.leaf(labels[0])
-        return
-    if len(labels) <= _MEMO_MAX_BLOCK:
-        cached = memo.get(labels)
-        if cached is None:
+def _trees(labels: tuple, memo: dict) -> Iterable[AssemblyTree]:
+    """Every tree on ``labels``: a tuple kept in ``memo`` for blocks of up
+    to _MEMO_MAX_BLOCK labels, leaves included, and a fresh stream above."""
+    if len(labels) > _MEMO_MAX_BLOCK:
+        return _trees_uncached(labels, memo)
+    cached = memo.get(labels)
+    if cached is None:
+        if len(labels) == 1:
+            cached = (AssemblyTree.leaf(labels[0]),)
+        else:
             cached = tuple(_trees_uncached(labels, memo))
-            memo[labels] = cached
-        yield from cached
-        return
-    yield from _trees_uncached(labels, memo)
+        memo[labels] = cached
+    return cached
 
 
 def _trees_uncached(labels: tuple, memo: dict) -> Iterator[AssemblyTree]:
+    least, greatest, size = labels[0], labels[-1], len(labels)
     for blocks in set_partitions(labels, min_parts=2):
         # every tree below is built unchecked from one block per child
         if sorted(itertools.chain.from_iterable(blocks)) != list(labels):
             raise RuntimeError(f"{blocks} is not a set partition of {labels}")
-        yield from _combine(blocks, 0, [], memo)
+        if max(map(len, blocks)) > _MEMO_MAX_BLOCK:
+            # one block too large for the memo (8 or 9 labels only): stream
+            # its trees again for each choice of the other blocks' trees
+            yield from _combine(blocks, 0, [], memo)
+            continue
+        # blocks come ordered by least label, so each choice of one tree per
+        # block is already in canonical child order
+        for kids in itertools.product(*[_trees(b, memo) for b in blocks]):
+            yield AssemblyTree(kids, least, greatest, size, hash(kids))
 
 
 def _combine(blocks, i, acc, memo) -> Iterator[AssemblyTree]:

@@ -12,6 +12,7 @@ arithmetic.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
@@ -147,6 +148,43 @@ def set_partitions(items: tuple):
         remaining = tuple(rest[i] for i in range(n_rest) if not mask >> i & 1)
         for sub in set_partitions(remaining):
             yield (block,) + sub
+
+
+def trees_in_documented_order(labels):
+    """Every tree on ``labels`` in the order ``enumerate_all_trees``
+    documents, by plain recursion with no memo: root partitions in
+    ``set_partitions`` order (the first block, which holds the least label,
+    by size and then by its other members in lexicographic combination
+    order; the other blocks recursively the same way), partitions into one
+    block left out, and within a partition one tree per block with the
+    first block's tree varying slowest."""
+    labels = tuple(sorted(labels))
+    if len(labels) == 1:
+        yield AssemblyTree.leaf(labels[0])
+        return
+    for blocks in _partitions_in_documented_order(labels):
+        if len(blocks) > 1:
+            yield from _one_tree_per_block(blocks, ())
+
+
+def _partitions_in_documented_order(items: tuple):
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for size in range(len(rest) + 1):
+        for mates in combinations(rest, size):
+            remaining = tuple(x for x in rest if x not in mates)
+            for others in _partitions_in_documented_order(remaining):
+                yield ((first,) + mates,) + others
+
+
+def _one_tree_per_block(blocks: tuple, chosen: tuple):
+    if not blocks:
+        yield AssemblyTree.node(chosen)
+        return
+    for tree in trees_in_documented_order(blocks[0]):
+        yield from _one_tree_per_block(blocks[1:], chosen + (tree,))
 
 
 def brute_block_systems(group: PermGroup) -> list[frozenset]:

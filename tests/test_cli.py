@@ -409,3 +409,21 @@ def test_closed_stdout_is_quiet():
     assert proc.wait(timeout=60) == 1
     assert first.startswith(b"(")
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--group", "klein4", "--order", "1000000000000"),
+    ("fixed-trees", "--group", "cyclic:1000000000000"),
+    ("blocks", "--group", "trivial:1000000000000"),
+])
+def test_an_allocation_failure_is_one_line_error(argv):
+    # each input asks for a list of about 10^12 entries, whose allocation
+    # fails at once
+    src = str(Path(capsid.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "capsid.cli", *argv],
+                          capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"error: out of memory")
+    assert proc.stderr.count(b"\n") == 1
+    assert b"Traceback" not in proc.stderr

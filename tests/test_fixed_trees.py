@@ -7,7 +7,7 @@ from capsid.perms import (builtin_group, close_generators, parse_permutation,
                           replicated_action, trivial_group)
 from capsid.series import fixed_tree_count
 from capsid.stabilizers import fixes
-from capsid.trees import act
+from capsid.trees import act, parse_tree
 
 from oracles import brute_block_systems, brute_fixed_trees, vertices
 
@@ -162,6 +162,20 @@ def test_each_level_is_built_once_per_run(name, count, monkeypatch):
     calls = 0
     assert count_fixed_trees_direct(group) == count
     assert calls <= 100
+
+
+@pytest.mark.parametrize("name, count", [("klein4", 4896), ("cyclic:6", 3440)])
+def test_benchmark_listings_are_fixed_and_round_trip(name, count):
+    # the trees of one run share one leaf object per point; within a tree
+    # every vertex is a distinct object, as the pointer view's numbering
+    # by id() requires
+    group = replicated_action(builtin_group(name), 3)
+    trees = list(generate_fixed_trees(group))
+    assert len(trees) == len(set(trees)) == count
+    for tau in trees:
+        assert len({id(v) for v in vertices(tau)}) == len(vertices(tau))
+        assert all(fixes(g, tau) for g in group.generators)
+        assert parse_tree(tau.to_text()) == tau
 
 
 def test_icosahedral_fixed_trees_constructed_directly(ico):

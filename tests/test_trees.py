@@ -12,7 +12,7 @@ from capsid.trees import (AssemblyTree, act, enumerate_all_trees, parse_tree,
 
 from oracles import (brute_stabilizer, count_trees_by_partition_recursion,
                      count_trees_by_recurrence, random_permutation,
-                     random_tree, vertices)
+                     random_tree, trees_in_documented_order, vertices)
 
 TOTAL_COUNTS = {1: 1, 2: 1, 3: 4, 4: 26, 5: 236, 6: 2752, 7: 39208,
                 8: 660032, 9: 12818912}
@@ -146,6 +146,30 @@ def test_enumerate_arbitrary_labels():
     trees = list(enumerate_all_trees([7, 2, 9, 4]))
     assert len(trees) == 26
     assert all(t.labels == frozenset({2, 4, 7, 9}) for t in trees)
+
+
+def _same_stream(labels):
+    # streamed pair by pair: at 8 leaves the two lists would hold 1.3
+    # million trees
+    count = 0
+    for ours, oracle in itertools.zip_longest(
+            enumerate_all_trees(labels), trees_in_documented_order(labels)):
+        assert ours is not None and oracle is not None
+        assert ours.to_text() == oracle.to_text()
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("labels", [range(1, n + 1) for n in range(1, 8)]
+                         + [[7, 2, 9, 4]])
+def test_enumeration_order_matches_the_documented_order(labels):
+    assert _same_stream(labels) == TOTAL_COUNTS[len(labels)]
+
+
+@pytest.mark.slow
+def test_enumeration_order_at_eight_leaves():
+    # the size at which a root partition has a block too large for the memo
+    assert _same_stream(range(1, 9)) == TOTAL_COUNTS[8]
 
 
 def test_enumerate_size_bound():
