@@ -9,21 +9,24 @@ full decimal.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from . import fixed_trees as ft
-from . import pathways as pw
-from . import series as sr
-from . import trees as tr
-from .lattice import build_lattice
-from .stabilizers import fixes, stabilizer
+# each command imports the other modules it needs, so a run loads only those
 from .perms import PermGroup, builtin_group, group_from_text, \
     icosahedral_group, parse_permutation, replicated_action
+
+if TYPE_CHECKING:
+    from .fixed_trees import BlockSystem
+
+# listings go to stdout this many lines per write: one call per block rather
+# than two per line when stdout is unbuffered, and a streamed listing holds
+# one block at a time
+WRITE_BLOCK_LINES = 4096
 
 # The subgroup census (lattice, Moebius values, fixed-tree counts and the
 # fixed-tree generator) enumerates every subgroup, so groups from outside are
@@ -65,7 +68,14 @@ def _table(rows: list[tuple], header: tuple, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _blocks_text(system: ft.BlockSystem) -> str:
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to stdout, a block at a time."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, WRITE_BLOCK_LINES)):
+        sys.stdout.write("\n".join(block) + "\n")
+
+
+def _blocks_text(system: BlockSystem) -> str:
     return " ".join("{" + ",".join(str(x) for x in sorted(b)) + "}"
                     for b in system.blocks)
 
@@ -73,16 +83,20 @@ def _blocks_text(system: ft.BlockSystem) -> str:
 # -- subcommand implementations ----------------------------------------------
 
 def _cmd_fixes(args, max_order) -> int:
+    from .stabilizers import fixes
+    from .trees import parse_tree
     group = load_group(args.group)
     perm = parse_permutation(args.perm, group.degree)
-    tau = tr.parse_tree(args.tree)
+    tau = parse_tree(args.tree)
     print("true" if fixes(perm, tau) else "false")
     return 0
 
 
 def _cmd_stabilizer(args, max_order) -> int:
+    from .stabilizers import stabilizer
+    from .trees import parse_tree
     group = load_group(args.group)
-    tau = tr.parse_tree(args.tree)
+    tau = parse_tree(args.tree)
     result = stabilizer(group, tau)
     print("generators:", " ".join(p.cycle_string() for p in result.generators))
     print("order:", result.order)
@@ -91,22 +105,24 @@ def _cmd_stabilizer(args, max_order) -> int:
 
 
 def _cmd_fixed_trees(args, max_order) -> int:
+    from .fixed_trees import count_fixed_trees_direct, generate_fixed_trees
     group = _bounded(load_group(args.group), max_order)
     if args.count_only:
-        print(ft.count_fixed_trees_direct(group))
+        print(count_fixed_trees_direct(group))
     else:
-        for text in sorted(t.to_text() for t in ft.generate_fixed_trees(group)):
-            print(text)
+        _write_lines(sorted(t.to_text() for t in generate_fixed_trees(group)))
     return 0
 
 
 def _cmd_series(args, max_order) -> int:
+    from fractions import Fraction
+    from .series import fixed_tree_series
     group = load_group(args.group)
     if args.order < 1:
         raise ValueError("order must be >= 1")
     if group.order > 1:
         _bounded(group, max_order)
-    counts = sr.fixed_tree_series(group, args.order)
+    counts = fixed_tree_series(group, args.order)
     rows = []
     for n in range(1, args.order + 1):
         row = (n, n * group.order, counts[n])
@@ -119,15 +135,18 @@ def _cmd_series(args, max_order) -> int:
 
 
 def _cmd_pathways(args, max_order) -> int:
+    from .pathways import pathway_probabilities, pathway_size_distribution
     group = _bounded(load_group(args.group), max_order)
-    dist = pw.pathway_size_distribution(group)
-    probs = pw.pathway_probabilities(dist)
+    dist = pathway_size_distribution(group)
+    probs = pathway_probabilities(dist)
     rows = [(m, n, probs[m]) for m, n in sorted(dist.per_divisor.items()) if n]
     sys.stdout.write(_table(rows, ("m", "pathways", "probability"), args.format))
     return 0
 
 
 def _cmd_icosa_report(args, max_order) -> int:
+    from .lattice import build_lattice
+    from .pathways import format_distribution, pathway_size_distribution
     if args.T < 1:
         raise ValueError("T must be >= 1")
     group = _bounded(icosahedral_group(), max_order)
@@ -136,7 +155,7 @@ def _cmd_icosa_report(args, max_order) -> int:
               file=sys.stderr)
         group = replicated_action(group, args.T)
     lat = build_lattice(group)
-    sys.stdout.write(pw.format_distribution(pw.pathway_size_distribution(group, lat)))
+    sys.stdout.write(format_distribution(pathway_size_distribution(group, lat)))
     print()
     print("mobius matrix (CSV):")
     sys.stdout.write(lat.to_csv())
@@ -144,8 +163,9 @@ def _cmd_icosa_report(args, max_order) -> int:
 
 
 def _cmd_blocks(args, max_order) -> int:
+    from .fixed_trees import enumerate_block_systems
     group = _bounded(load_group(args.group), max_order)
-    systems = ft.enumerate_block_systems(group)
+    systems = enumerate_block_systems(group)
     if args.format == "csv":
         rows = [(i + 1, len(s.blocks), _blocks_text(s).replace(" ", "|"))
                 for i, s in enumerate(systems)]
@@ -157,12 +177,14 @@ def _cmd_blocks(args, max_order) -> int:
 
 
 def _cmd_mobius(args, max_order) -> int:
+    from .lattice import build_lattice
     group = _bounded(load_group(args.group), max_order)
     sys.stdout.write(build_lattice(group).to_csv())
     return 0
 
 
 def _cmd_enumerate_trees(args, max_order) -> int:
+    from .trees import enumerate_all_trees
     if (args.n is None) == (args.labels is None):
         raise ValueError("give exactly one of --n and --labels")
     if args.n is not None:
@@ -174,12 +196,11 @@ def _cmd_enumerate_trees(args, max_order) -> int:
             raise ValueError(f"malformed label list {args.labels!r}") from None
         if len(set(labels)) < len(labels):
             raise ValueError(f"repeated label in label list {args.labels!r}")
-    stream = tr.enumerate_all_trees(labels)
+    stream = enumerate_all_trees(labels)
     if args.count_only:
         print(sum(1 for _ in stream))
     else:
-        for tree in stream:
-            print(tree.to_text())
+        _write_lines(tree.to_text() for tree in stream)
     return 0
 
 

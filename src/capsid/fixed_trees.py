@@ -8,11 +8,13 @@ blocks of a system are the coset translates of each part's seed.  A tree
 fixed by the whole group is built the same way: pick the triple, recursively
 build a subtree fixed by the part's subgroup on its seed union, and attach
 the coset translates of that subtree as children of a new root.  Each
-(subgroup, seed) level and its translates are built once per generation run
-and shared by every recipe and tree that uses them; the top level streams.
-A run makes one leaf per point, and every tree shares those leaves: each
-coset representative of a level gets one table from labels to the leaves of
-their images, through which every subtree of the level is translated.
+(subgroup, seed) level is built once per generation run, however many
+parents it recurs under, and its translates once per parent group; both are
+shared by every recipe and tree that uses them, and the top level streams.
+A run makes one leaf per point, and the trees share those leaves: each
+coset representative of a level but the identity gets one table from labels
+to the leaves of their images, through which every subtree of the level is
+translated, and the identity's translate is the subtree itself.
 
 Uniqueness is enforced by (a) drawing subgroups from conjugacy-class
 representatives only and (b) keeping one seed union per orbit of the
@@ -26,8 +28,7 @@ whether it was ever needed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .perms import PermGroup
 from .series import fixed_tree_count
@@ -38,8 +39,7 @@ from .trees import (ENUMERATION_SIZE_BOUND, AssemblyTree, _act, _node,
 LISTING_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(NamedTuple):
     """A partition of the point set into blocks, closed under the action."""
     blocks: tuple[frozenset, ...]
 
@@ -80,8 +80,7 @@ def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
 
 # -- construction recipes and the recursive generator ---------------------
 
-@dataclass(frozen=True)
-class FixedTreeRecipe:
+class FixedTreeRecipe(NamedTuple):
     """One level of the recursive construction: a partition of the orbit set
     into parts, one subgroup per part, and one seed union per part (a single
     subgroup-orbit chosen inside each group-orbit of the part).
@@ -93,8 +92,7 @@ class FixedTreeRecipe:
     seeds: tuple[frozenset, ...]
 
 
-@dataclass(frozen=True)
-class FixedTreeDiagnostics:
+class FixedTreeDiagnostics(NamedTuple):
     """Outcome of a full generation run."""
     produced: int
     distinct: int
@@ -143,13 +141,18 @@ def _seed_is_canonical(seed: frozenset, normalizer_elements) -> bool:
                for n in normalizer_elements)
 
 
-def _fixed_trees_on(group: PermGroup, points: frozenset, memo: dict,
-                    leaves: list) -> Iterator[AssemblyTree]:
-    """Every tree on ``points`` fixed by ``group``, whose leaf labeled x is
-    the object ``leaves[x]``.  ``memo`` maps (group, subgroup, seed) to each
-    sub-level tree's coset translates, built when a recipe first uses them
-    and shared by every later recipe and tree.  The translates of one seed
-    are checked disjoint once, when first built, so the vertices are built
+def _fixed_trees_on(group: PermGroup, points: frozenset, levels: dict,
+                    translates: dict, leaves: list) -> Iterator[AssemblyTree]:
+    """Every tree on ``points`` fixed by ``group``, built from the leaves
+    ``leaves[x]`` and the trees the trivial group's enumeration makes.
+
+    ``levels`` maps (subgroup, seed) to the trees of that sub-level, which
+    recurs under different parents, and ``translates`` maps (group,
+    subgroup, seed) to each of those trees' coset translates.  Both are
+    built when a recipe first uses them and shared by every later recipe
+    and tree.  The first coset representative is the identity, so each
+    tree is its own first translate.  The translates of one seed are
+    checked disjoint once, when first built, so the vertices are built
     unchecked."""
     if len(points) == 1:
         yield leaves[next(iter(points))]
@@ -162,18 +165,22 @@ def _fixed_trees_on(group: PermGroup, points: frozenset, memo: dict,
         per_part = []
         for sub, seed in zip(recipe.subgroups, recipe.seeds):
             key = (group, sub, seed)
-            if key not in memo:
+            if key not in translates:
                 reps = group.left_coset_representatives(sub)
                 if len({rep(x) for rep in reps for x in seed}) != \
                         len(reps) * len(seed):
                     raise RuntimeError("the coset translates of a seed overlap")
-                # one leaf table per coset representative, shared by the
-                # translates of every subtree of the level
+                if (sub, seed) not in levels:
+                    levels[sub, seed] = list(
+                        _fixed_trees_on(sub, seed, levels, translates, leaves))
+                # one leaf table per coset representative after the
+                # identity, shared by the translates of every subtree
                 tables = [[None, *map(leaves.__getitem__, rep.images)]
-                          for rep in reps]
-                memo[key] = [[_act(leaf_of, subtree) for leaf_of in tables]
-                             for subtree in _fixed_trees_on(sub, seed, memo, leaves)]
-            per_part.append(memo[key])
+                          for rep in reps[1:]]
+                translates[key] = [
+                    [subtree, *(_act(leaf_of, subtree) for leaf_of in tables)]
+                    for subtree in levels[sub, seed]]
+            per_part.append(translates[key])
         for choice in itertools.product(*per_part):
             yield _node(itertools.chain.from_iterable(choice))
 
@@ -194,7 +201,7 @@ def generate_fixed_trees(group: PermGroup,
     points = frozenset(range(1, group.degree + 1))
     # one leaf object per point, shared by every tree of the run
     leaves = [None, *map(AssemblyTree.leaf, range(1, group.degree + 1))]
-    trees = _fixed_trees_on(group, points, {}, leaves)
+    trees = _fixed_trees_on(group, points, {}, {}, leaves)
     first = next(trees)
     count = fixed_tree_count(group, group.degree // group.order)
     if count > LISTING_BOUND:

@@ -15,17 +15,15 @@ rather than rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import series
 from .lattice import SubgroupLattice, build_lattice
 from .perms import PermGroup
 
 
-@dataclass(frozen=True)
-class SubgroupClassRow:
+class SubgroupClassRow(NamedTuple):
     """Per-conjugacy-class numbers feeding the distribution."""
     representative: PermGroup
     order: int
@@ -35,8 +33,7 @@ class SubgroupClassRow:
     exact_count: int     # tbar(H)
 
 
-@dataclass(frozen=True)
-class PathwayDistribution:
+class PathwayDistribution(NamedTuple):
     """The full pathway-size distribution for one simple action."""
     group: PermGroup
     leaf_count: int

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -369,7 +368,8 @@ class PermGroup:
 
     def left_coset_representatives(self, sub: "PermGroup") -> list[Permutation]:
         """One representative per left coset of ``sub``, each the
-        lexicographically least element of its coset."""
+        lexicographically least element of its coset, in that order: the
+        identity, the least element of all, comes first."""
         hs = self._indices(sub)
         table = self._mul_table()
         covered: set[int] = set()
@@ -395,8 +395,7 @@ class PermGroup:
                          list(perms.values()))
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """A conjugacy class of subgroups with its designated representative."""
     representative: PermGroup
     members: tuple[PermGroup, ...]

@@ -15,15 +15,13 @@ tests, and tests only elements that pass the ancestor-size test below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .perms import PermGroup, Permutation, close_generators
 from .trees import AssemblyTree, TreePointerView, pointer_view
 
 
-@dataclass(frozen=True)
-class StabilizerResult:
+class StabilizerResult(NamedTuple):
     """Generating set found for the stabilizer, plus its closure."""
     generators: tuple[Permutation, ...]
     group: PermGroup
@@ -33,8 +31,7 @@ class StabilizerResult:
         return self.group.order
 
 
-@dataclass(frozen=True)
-class TraversalAudit:
+class TraversalAudit(NamedTuple):
     """Pointer traversal counts after one image-location run."""
     leaf_count: int
     vertex_count: int

@@ -1,5 +1,11 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import capsid
 
@@ -43,10 +49,9 @@ def _package_named() -> set[str]:
 
 def test_every_export_is_reached_outside_the_tests():
     # an export counts as reached if another module of the package names it
-    # or the benchmark imports it
-    exported = {alias.name
-                for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text()))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # or the benchmark imports it; the package resolves its exports lazily
+    # from one name -> submodule table
+    exported = set(capsid._EXPORTS)
     referenced = _capsid_imports(ast.parse(CHILD.read_text())) | _package_named()
     assert exported
     assert sorted(exported - referenced) == []
@@ -65,3 +70,51 @@ def test_every_definition_is_reached_outside_the_tests():
     referenced = _named(CHILD) | _package_named()
     assert defined
     assert sorted(defined - referenced) == []
+
+
+def _loaded_by(code: str) -> list[str]:
+    """The modules a fresh interpreter loads while it runs ``code``."""
+    script = ("import json, sys\nbefore = set(sys.modules)\n" + code +
+              "\nprint(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _package_modules(loaded: list[str]) -> list[str]:
+    return [name for name in loaded if name.split(".")[0] == "capsid"]
+
+
+def test_importing_the_cli_loads_no_command_module():
+    loaded = _loaded_by("import capsid.cli")
+    assert _package_modules(loaded) == ["capsid", "capsid.cli", "capsid.perms"]
+    assert "dataclasses" not in loaded
+    assert "fractions" not in loaded
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["enumerate-trees", "--n", "3", "--count-only"],
+     {"series", "lattice", "pathways", "fixed_trees", "stabilizers"}),
+    (["pathways", "--group", "klein4"], {"trees", "fixed_trees", "stabilizers"}),
+    (["icosa-report"], {"trees", "fixed_trees", "stabilizers"}),
+])
+def test_a_command_loads_only_the_modules_it_uses(argv, unused):
+    loaded = _loaded_by(f"import capsid.cli\ncapsid.cli.main({argv!r})")
+    assert unused.isdisjoint(name.removeprefix("capsid.")
+                             for name in _package_modules(loaded))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from capsid import *", namespace)
+    del namespace["__builtins__"]
+    assert len(namespace) == 43
+    assert namespace.keys() == capsid._EXPORTS.keys()
+    assert namespace["stabilizer"] is capsid.stabilizers.stabilizer
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        capsid.no_such_name

@@ -7,7 +7,7 @@ from capsid.perms import (builtin_group, close_generators, parse_permutation,
                           replicated_action, trivial_group)
 from capsid.series import fixed_tree_count
 from capsid.stabilizers import fixes
-from capsid.trees import act, parse_tree
+from capsid.trees import act, enumerate_all_trees, parse_tree
 
 from oracles import brute_block_systems, brute_fixed_trees, vertices
 
@@ -129,6 +129,19 @@ def test_completeness_eight_leaves(klein_on_8, z2_on_8):
         generated = set(generate_fixed_trees(group))
         assert generated == brute_fixed_trees(group, range(1, 9))
         assert len(generated) == fixed_tree_count(group, 8 // group.order)
+
+
+@pytest.mark.slow
+def test_listing_matches_the_filtered_enumeration_on_klein4_twice():
+    # klein4 on two copies of its points: the (subgroup, seed) levels under
+    # an order-2 subgroup recur under the whole group, and order-2
+    # subgroups give index-2 translates; about 15 s
+    group = replicated_action(builtin_group("klein4"), 2)
+    listed = sorted(t.to_text() for t in generate_fixed_trees(group))
+    brute = sorted(t.to_text() for t in enumerate_all_trees(range(1, 9))
+                   if all(act(g, t) == t for g in group.generators))
+    assert len(listed) == 104
+    assert listed == brute
 
 
 def test_uniqueness_filters_suffice(klein, k1, z2_on_6, s3_regular, z6, klein_on_8):
