@@ -90,9 +90,6 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
 
-    def moved_points(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, v in enumerate(self.images) if v != i + 1)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -128,7 +125,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         tokens = [t for t in re.split(r"[\s,]+", match.group(1).strip()) if t]
         points = []
         for tok in tokens:
-            if not tok.isdigit():
+            if not tok.isdecimal():
                 raise ValueError(f"malformed cycle notation: {text!r}")
             points.append(int(tok))
         for p in points:
@@ -247,7 +244,7 @@ class PermGroup:
         return frozenset(idx[p.images] for p in sub.elements)
 
     def _subgroup_from_indices(self, indices: Iterable[int],
-                               gen_indices: Iterable[int] = ()) -> "PermGroup":
+                               gen_indices: Iterable[int]) -> "PermGroup":
         els = [self.elements[i] for i in indices]
         gens = [self.elements[i] for i in gen_indices]
         return PermGroup(self.degree, gens, els)
@@ -287,9 +284,10 @@ class PermGroup:
         return out
 
     def is_simple_action(self) -> bool:
-        """True iff no non-identity element fixes any point."""
-        return all(len(p.moved_points()) == self.degree
-                   for p in self.elements if not p.is_identity())
+        """True iff no non-identity element fixes any point, that is, by the
+        orbit-stabilizer theorem, iff every orbit has as many points as the
+        group has elements."""
+        return all(len(orbit) == self.order for orbit in self.orbits())
 
     # -- subgroup enumeration ----------------------------------------------
 
@@ -513,12 +511,10 @@ def group_from_text(text: str) -> PermGroup:
     are ignored."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("degree"):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "degree" or not header[1].isdecimal():
         raise ValueError("group text must start with a 'degree N' line")
-    try:
-        degree = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ValueError("group text must start with a 'degree N' line") from None
+    degree = int(header[1])
     gens = [parse_permutation(ln, degree) for ln in lines[1:]]
     return close_generators(gens, degree)
 

@@ -103,6 +103,8 @@ def fixed_tree_series(group: PermGroup, order: int) -> list[int]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if not group.is_simple_action():
+        raise ValueError("the group action is not simple")
     lat = build_lattice(group)
     top = lat.node_class[-1]
     return class_tree_counts(lat, {top: order})[top]

@@ -139,7 +139,7 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
     are skipped untested, so the generators are those of the plain scan.
     """
     leaf_set = tau.labels
-    if tau.max_label > group.degree:
+    if max(leaf_set) > group.degree:
         raise ValueError("leaf set mismatch: labels exceed the group degree")
     for g in group.generators:
         if any(g(x) not in leaf_set for x in leaf_set):

@@ -3,24 +3,24 @@ set of positive integers, every internal vertex having at least two children.
 
 The paper identifies each vertex with the set of its descendant leaf labels.
 A tree here stores no such set: each vertex keeps its children, its least
-and greatest leaf labels, its leaf count and a hash taken from its
-children, so a tree costs memory linear in its leaves.  Children are kept
-sorted by least leaf label, so two trees are equal exactly when they are
-structurally identical, and the serialized text is a canonical form.
+leaf label, its leaf count and a hash taken from its children, so a tree
+costs memory linear in its leaves.  Children are kept sorted by least leaf
+label, so two trees are equal exactly when they are structurally identical,
+and the serialized text is a canonical form.
 
 Leaf labels are checked to be distinct where input enters, once per tree
 or per construction level, not at every vertex: ``parse_tree`` keeps one
-set over the whole text, ``act`` maps through a validated bijection and
-checks its image set once, the enumerator checks each set partition, and
-the fixed-tree generator checks that each seed's coset translates are
-disjoint.  Those build vertices unchecked: through ``_node``, which sorts
-the children, or, in the enumerator, as one choice of a tree per block of a
-root partition, whose blocks already come in canonical order.
-``AssemblyTree.node`` checks its children.  Apart from the enumerator, whose
-depth the size bound caps, no function here recurses along a tree path, so
-trees of any depth work.  Trees are immutable, so they may share subtrees
-and leaves: the enumerator's memoized blocks and the fixed-tree generator's
-one leaf per point are shared by every tree built from them.
+set over the whole text, ``act`` maps through a validated bijection, the
+enumerator checks each set partition, and the fixed-tree generator checks
+that each seed's coset translates are disjoint.  Those build vertices
+unchecked: through ``_node``, which sorts the children, or, in the
+enumerator, as one choice of a tree per block of a root partition, whose
+blocks already come in canonical order.  ``AssemblyTree.node`` checks its
+children.  Apart from the enumerator, whose depth the size bound caps, no
+function here recurses along a tree path, so trees of any depth work.
+Trees are immutable, so they may share subtrees and leaves: the
+enumerator's memoized blocks and the fixed-tree generator's one leaf per
+point are shared by every tree built from them.
 
 The exhaustive enumerator in this module is the brute-force oracle that the
 rest of the package is tested against.
@@ -43,20 +43,17 @@ class AssemblyTree:
     """An immutable, canonicalized assembly tree.
 
     ``children`` is the canonically ordered tuple of subtrees, empty for a
-    leaf; ``min_label`` and ``max_label`` are the least and greatest leaf
-    labels below the vertex and ``size`` the number of leaves.  The vertex
-    label, the set of descendant leaf labels, is ``labels``, which walks
-    the subtree each time it is read.
+    leaf; ``min_label`` is the least leaf label below the vertex and
+    ``size`` the number of leaves.  The vertex label, the set of descendant
+    leaf labels, is ``labels``, which walks the subtree each time it is read.
     """
 
-    __slots__ = ("children", "min_label", "max_label", "size", "_hash")
+    __slots__ = ("children", "min_label", "size", "_hash")
 
-    def __init__(self, children: tuple, min_label: int, max_label: int,
-                 size: int, _hash: int):
+    def __init__(self, children: tuple, min_label: int, size: int, _hash: int):
         # internal: use AssemblyTree.leaf / AssemblyTree.node
         self.children = children
         self.min_label = min_label
-        self.max_label = max_label
         self.size = size
         self._hash = _hash
 
@@ -64,7 +61,7 @@ class AssemblyTree:
     def leaf(cls, label: int) -> "AssemblyTree":
         if label < 1:
             raise ValueError(f"leaf labels must be positive integers, got {label}")
-        return cls((), label, label, 1, hash(label))
+        return cls((), label, 1, hash(label))
 
     @classmethod
     def node(cls, children: Iterable["AssemblyTree"]) -> "AssemblyTree":
@@ -139,113 +136,82 @@ def _node(children) -> AssemblyTree:
     """The vertex over two or more children whose leaf sets the caller
     knows to be disjoint; nothing is checked."""
     children = tuple(sorted(children, key=_by_min_label))
-    max_label = size = 0
+    size = 0
     for child in children:
         size += child.size
-        if child.max_label > max_label:
-            max_label = child.max_label
-    return AssemblyTree(children, children[0].min_label, max_label, size,
-                        hash(children))
+    return AssemblyTree(children, children[0].min_label, size, hash(children))
 
 
-_DELIMITER = re.compile(r"([(),])")
+_TOKEN = re.compile(r"[(),]|[^(),]+")
+_LEADING_DIGITS = re.compile(r"\d*")
 
 
 def parse_tree(text: str) -> AssemblyTree:
     """Parse the nested-parenthesis tree format, e.g. ``((1,2),3,4)``.
 
     Every internal node needs at least two children and leaf labels must be
-    distinct positive integers.  The first error met reading left to right
-    is reported; a repeated label is met at its second copy.
+    distinct positive integers in decimal digits.  The first error met
+    reading left to right is reported; a repeated label is met at its second
+    copy.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty tree text")
-    # the text between delimiters at even indices, the delimiters at odd ones
-    pieces = _DELIMITER.split(s)
-    end = len(pieces)
+    tokens = _TOKEN.findall(s)  # each delimiter, and the text between them
     open_children: list[list] = []  # the children read so far of each open vertex
     seen: set[int] = set()
-    i = 0
-    while True:
-        # read a vertex starting at pieces[i], a text piece
-        word = pieces[i]
-        if not word:
-            if i + 1 == end:
-                raise ValueError("unexpected end of tree text")
-            if pieces[i + 1] != "(":
+    vertex = None  # the vertex just read; None while a vertex is expected
+    for i, tok in enumerate(tokens):
+        if vertex is None:
+            if tok == "(":
+                open_children.append([])
+                continue
+            label = tok if tok.isdecimal() else _LEADING_DIGITS.match(tok).group()
+            if not label:
                 raise ValueError(f"expected a leaf label at position "
-                                 f"{_offset(pieces, i + 1)} of {s!r}")
-            open_children.append([])
-            i += 2
-            continue
-        if not word.isdigit():
-            _raise_bad_leaf(s, pieces, i, bool(open_children))
-        vertex = AssemblyTree.leaf(int(word))
-        if vertex.min_label in seen:
-            raise ValueError("invalid tree: children leaf sets overlap")
-        seen.add(vertex.min_label)
-        i += 1
-        # close vertices while a ")" follows; pieces[i] is a delimiter or the end
-        while True:
-            if i == end:
+                                 f"{_offset(tokens, i)} of {s!r}")
+            vertex = AssemblyTree.leaf(int(label))
+            # a word that is not all digits: its leading digits are read as a
+            # leaf, and the first character after them is the error
+            if len(label) < len(tok):
                 if open_children:
-                    raise ValueError("unbalanced parentheses in tree text")
-                return vertex
-            if not open_children:
+                    raise ValueError(f"unexpected character {tok[len(label)]!r} "
+                                     f"in tree text")
                 raise ValueError(f"trailing characters after tree: "
-                                 f"{s[_offset(pieces, i):]!r}")
-            delimiter = pieces[i]
-            if delimiter == ",":
-                open_children[-1].append(vertex)
-                i += 1
-                break
-            if delimiter == "(":
-                raise ValueError("unexpected character '(' in tree text")
+                                 f"{s[_offset(tokens, i) + len(label):]!r}")
+            if vertex.min_label in seen:
+                raise ValueError("invalid tree: children leaf sets overlap")
+            seen.add(vertex.min_label)
+        elif not open_children:
+            raise ValueError(f"trailing characters after tree: "
+                             f"{s[_offset(tokens, i):]!r}")
+        elif tok == ",":
+            open_children[-1].append(vertex)
+            vertex = None
+        elif tok == ")":
             children = open_children.pop()
             children.append(vertex)
             if len(children) < 2:
                 raise ValueError("internal vertex with a single child")
             vertex = _node(children)
-            rest = pieces[i + 1]
-            if rest:
-                if open_children:
-                    raise ValueError(f"unexpected character {rest[0]!r} in tree text")
-                raise ValueError(f"trailing characters after tree: "
-                                 f"{s[_offset(pieces, i + 1):]!r}")
-            i += 2
+        else:
+            raise ValueError(f"unexpected character {tok[0]!r} in tree text")
+    if vertex is None:
+        raise ValueError("unexpected end of tree text")
+    if open_children:
+        raise ValueError("unbalanced parentheses in tree text")
+    return vertex
 
 
-def _offset(pieces: list, i: int) -> int:
-    return sum(map(len, pieces[:i]))
-
-
-def _raise_bad_leaf(s: str, pieces: list, i: int, nested: bool):
-    """Raise the error for text piece ``pieces[i]``, which is not all digits:
-    its leading digits (if any) are a leaf, and the first character after
-    them is unexpected."""
-    word = pieces[i]
-    digits = 0
-    while digits < len(word) and word[digits].isdigit():
-        digits += 1
-    if digits == 0:
-        raise ValueError(f"expected a leaf label at position "
-                         f"{_offset(pieces, i)} of {s!r}")
-    AssemblyTree.leaf(int(word[:digits]))
-    if nested:
-        raise ValueError(f"unexpected character {word[digits]!r} in tree text")
-    raise ValueError(f"trailing characters after tree: "
-                     f"{s[_offset(pieces, i) + digits:]!r}")
+def _offset(tokens: list, i: int) -> int:
+    return sum(map(len, tokens[:i]))
 
 
 def act(g: Permutation, tau: AssemblyTree) -> AssemblyTree:
     """The tree whose vertex labels are the g-images of tau's vertex labels."""
-    if g.degree < tau.max_label:
+    if g.degree < max(tau.labels):
         raise ValueError("permutation degree does not cover the leaf labels")
-    image = _act([None, *map(AssemblyTree.leaf, g.images)], tau)
-    if len(image.labels) != tau.size:
-        raise ValueError("permutation is not one-to-one on the leaf labels")
-    return image
+    return _act([None, *map(AssemblyTree.leaf, g.images)], tau)
 
 
 def _act(leaf_of, tau: AssemblyTree) -> AssemblyTree:
@@ -312,7 +278,7 @@ def _trees(labels: tuple, memo: dict) -> Iterable[AssemblyTree]:
 
 
 def _trees_uncached(labels: tuple, memo: dict) -> Iterator[AssemblyTree]:
-    least, greatest, size = labels[0], labels[-1], len(labels)
+    least, size = labels[0], len(labels)
     for blocks in set_partitions(labels, min_parts=2):
         # every tree below is built unchecked from one block per child
         if sorted(itertools.chain.from_iterable(blocks)) != list(labels):
@@ -325,7 +291,7 @@ def _trees_uncached(labels: tuple, memo: dict) -> Iterator[AssemblyTree]:
         # blocks come ordered by least label, so each choice of one tree per
         # block is already in canonical child order
         for kids in itertools.product(*[_trees(b, memo) for b in blocks]):
-            yield AssemblyTree(kids, least, greatest, size, hash(kids))
+            yield AssemblyTree(kids, least, size, hash(kids))
 
 
 def _combine(blocks, i, acc, memo) -> Iterator[AssemblyTree]:

@@ -289,6 +289,15 @@ def test_series_of_the_trivial_group_ignores_the_bound(capsys, monkeypatch):
     assert err == "error: group order 2 exceeds subgroup-enumeration bound 0\n"
 
 
+def test_series_refuses_a_non_simple_action(capsys, tmp_path):
+    path = tmp_path / "fixes_3_and_4.group"
+    path.write_text("degree 4\n(1 2)\n")
+    code, out, err = run_cli(capsys, "series", "--group", str(path),
+                             "--order", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: the group action is not simple\n"
+
+
 def test_deep_tree_succeeds(capsys):
     caterpillar = "1500"
     for leaf in range(1499, 0, -1):

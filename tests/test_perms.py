@@ -19,10 +19,22 @@ def test_parse_permutation_examples():
     assert parse_permutation(" ( 1 2 ) ", 3).images == (2, 1, 3)
 
 
-@pytest.mark.parametrize("text", ["((1 2)", "(1 5)", "(1 2)(2 3)", "(a b)", "1 2"])
+PERMUTATION_ERRORS = {
+    "((1 2)": "malformed cycle notation: '((1 2)'",
+    "(a b)": "malformed cycle notation: '(a b)'",
+    "1 2": "malformed cycle notation: '1 2'",
+    "(1 \u00b2)": "malformed cycle notation: '(1 \u00b2)'",
+    "(1 x)": "malformed cycle notation: '(1 x)'",
+    "(1 5)": "point 5 out of range 1..4",
+    "(1 2)(2 3)": "point 2 repeated across cycles",
+}
+
+
+@pytest.mark.parametrize("text", PERMUTATION_ERRORS)
 def test_parse_permutation_errors(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         parse_permutation(text, 4)
+    assert str(err.value) == PERMUTATION_ERRORS[text]
 
 
 def test_composition_convention():
@@ -102,8 +114,10 @@ def test_point_orbit_stabilizer_identity(klein, s3, z6):
 
 
 def test_simple_action_iff_free_orbits(klein, z2_on_6, s3):
-    for group in (klein, z2_on_6, s3, trivial_group(4)):
-        free = all(len(o) == group.order for o in group.orbits())
+    # census subgroups carry conjugated generators, which orbits() walks
+    for group in (klein, z2_on_6, trivial_group(4), *s3.all_subgroups()):
+        free = all(g(x) != x for g in group.elements[1:]
+                   for x in range(1, group.degree + 1))
         assert group.is_simple_action() == free
 
 
@@ -329,5 +343,12 @@ def test_group_from_text(klein):
     text = "degree 4\n(1 2)(3 4)\n(1 3)(2 4)\n"
     assert group_from_text(text) == klein
     assert group_from_text("degree 3\n# comment\n\n").order == 1
-    with pytest.raises(ValueError):
-        group_from_text("(1 2)(3 4)")
+
+
+@pytest.mark.parametrize("header", ["", "(1 2)(3 4)", "degree", "degree x",
+                                    "degreefoo 4", "degree 4 junk",
+                                    "degree +4"])
+def test_group_from_text_needs_a_degree_line(header):
+    with pytest.raises(ValueError) as err:
+        group_from_text(f"{header}\n(1 2)(3 4)\n")
+    assert str(err.value) == "group text must start with a 'degree N' line"

@@ -70,6 +70,6 @@ def test_stored_fields_match_the_label_set(case):
     _, tau = case
     labels = tau.labels
     assert tau.size == len(labels)
-    assert (tau.min_label, tau.max_label) == (min(labels), max(labels))
+    assert tau.min_label == min(labels)
     assert labels == {v.min_label for v in vertices(parse_tree(tau.to_text()))
                       if not v.children}

@@ -26,12 +26,37 @@ def test_parse_examples():
     assert not parse_tree("9").children
 
 
-@pytest.mark.parametrize("text", ["((1),2)", "(1)", "(1,1)", "", "()",
-                                  "(1,2))", "((1,2)", "(1,2),3", "(0,1)",
-                                  "(1,x)", "((1,2),(3,(4,1)))"])
+PARSE_ERRORS = {
+    "((1),2)": "internal vertex with a single child",
+    "(1)": "internal vertex with a single child",
+    "(1,1)": "invalid tree: children leaf sets overlap",
+    "": "empty tree text",
+    "()": "expected a leaf label at position 1 of '()'",
+    "(1,2))": "trailing characters after tree: ')'",
+    "((1,2)": "unbalanced parentheses in tree text",
+    "(1,2),3": "trailing characters after tree: ',3'",
+    "(0,1)": "leaf labels must be positive integers, got 0",
+    "(1,x)": "expected a leaf label at position 3 of '(1,x)'",
+    "((1,2),(3,(4,1)))": "invalid tree: children leaf sets overlap",
+    "12x": "trailing characters after tree: 'x'",
+    "1(": "trailing characters after tree: '('",
+    "(,1)": "expected a leaf label at position 1 of '(,1)'",
+    "(1, 2)": "expected a leaf label at position 3 of '(1, 2)'",
+    "(1,2x)": "unexpected character 'x' in tree text",
+    "(1,": "unexpected end of tree text",
+    "(1,2)x": "trailing characters after tree: 'x'",
+    "((1,2)x,3)": "unexpected character 'x' in tree text",
+    "(1,2,)": "expected a leaf label at position 5 of '(1,2,)'",
+    "0x": "leaf labels must be positive integers, got 0",
+    "(1,\u00b2)": "expected a leaf label at position 3 of '(1,\u00b2)'",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS)
 def test_parse_errors(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         parse_tree(text)
+    assert str(err.value) == PARSE_ERRORS[text]
 
 
 def test_canonical_child_order():
@@ -126,7 +151,7 @@ def test_hundred_thousand_leaf_caterpillar():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (tau.size, tau.max_label) == (n, n)
+    assert tau.size == n and tau.labels == frozenset(range(1, n + 1))
     assert peak < 200 * 2 ** 20
 
 
