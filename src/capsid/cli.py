@@ -109,8 +109,17 @@ def _cmd_fixed_trees(args, max_order) -> int:
     group = _bounded(load_group(args.group), max_order)
     if args.count_only:
         print(count_fixed_trees_direct(group))
-    else:
-        _write_lines(sorted(t.to_text() for t in generate_fixed_trees(group)))
+        return 0
+    texts: dict[int, tuple] = {}  # id(root child) -> (root child, its text)
+
+    def text(tree) -> str:  # trees share root children: each is written once
+        for c in tree.children:
+            if id(c) not in texts:  # the entry keeps c, so its id stays c's
+                texts[id(c)] = (c, c.to_text())
+        return ("(" + ",".join([texts[id(c)][1] for c in tree.children]) + ")"
+                if tree.children else tree.to_text())  # children are in order
+
+    _write_lines(sorted(map(text, generate_fixed_trees(group))))
     return 0
 
 

@@ -420,22 +420,32 @@ def _join_indices(table: list[list[int]], sub: frozenset[int],
 
 def close_generators(gens: Sequence[Permutation], degree: int) -> PermGroup:
     """Smallest permutation group on {1..degree} containing ``gens``."""
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError("degree mismatch among generators")
+    if any(g.degree != degree for g in gens):
+        raise ValueError("degree mismatch among generators")
     ident = Permutation.identity(degree)
-    seen = {ident.images: ident}
-    frontier = [ident]
+    images = {ident.images}
+    # the identity moves nothing, and on one point itemgetter gives no tuple
+    _close_images(images, [operator.itemgetter(*[x - 1 for x in g.images])
+                           for g in gens if g != ident])
+    elements = [object.__new__(Permutation) for _ in images]
+    for p, a in zip(elements, images):  # products of bijections: no check
+        p.images = a
+    return PermGroup(degree, gens, elements)
+
+
+def _close_images(images: set, rights: list) -> None:
+    """Grow the image-tuple set ``images`` in place, breadth first, to its
+    closure under ``rights``: ``itemgetter(*(g(x) - 1 for x))`` maps a to a * g."""
+    frontier = list(images)
     while frontier:
-        nxt = []
+        grown = []
         for a in frontier:
-            for g in gens:
-                b = a * g
-                if b.images not in seen:
-                    seen[b.images] = b
-                    nxt.append(b)
-        frontier = nxt
-    return PermGroup(degree, gens, list(seen.values()))
+            for right in rights:
+                b = right(a)
+                if b not in images:
+                    images.add(b)
+                    grown.append(b)
+        frontier = grown
 
 
 def replicated_action(group: PermGroup, copies: int) -> PermGroup:
@@ -515,6 +525,8 @@ def group_from_text(text: str) -> PermGroup:
     if len(header) != 2 or header[0] != "degree" or not header[1].isdecimal():
         raise ValueError("group text must start with a 'degree N' line")
     degree = int(header[1])
+    if degree < 1:
+        raise ValueError(f"group text line {lines[0]!r}: degree must be >= 1")
     gens = [parse_permutation(ln, degree) for ln in lines[1:]]
     return close_generators(gens, degree)
 

@@ -10,14 +10,16 @@ children, which is then its own image.  Each pointer is followed at most
 once, so one run costs linear time in the number of leaves and needs no
 recursion; the traversal audit makes that checkable.  The stabilizer
 builds one pointer structure per call, re-aims it at each element it
-tests, and tests only elements that pass the ancestor-size test below.
+tests, and tests only elements that pass the ancestor-size test below; the
+closure of the fixers found is a set of image tuples grown in place.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .perms import PermGroup, Permutation, close_generators
+from .perms import PermGroup, Permutation, _close_images
 from .trees import AssemblyTree, TreePointerView, pointer_view
 
 
@@ -137,13 +139,15 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
     per call.  Elements failing the ancestor-size test (a fixer maps the
     smallest leaf's root path onto its image's with equal subtree sizes)
     are skipped untested, so the generators are those of the plain scan.
+    The closure starts as the identity's image tuple; each new generator
+    grows it in place by right multiplication, and the group is built once.
     """
     leaf_set = tau.labels
     if max(leaf_set) > group.degree:
         raise ValueError("leaf set mismatch: labels exceed the group degree")
-    for g in group.generators:
-        if any(g(x) not in leaf_set for x in leaf_set):
-            raise ValueError("leaf set mismatch: the group does not act on the leaf set")
+    # the group acts on the leaf set iff the leaf set is a union of orbits
+    if sum(len(o) for o in group.orbits() if leaf_set.issuperset(o)) != len(leaf_set):
+        raise ValueError("leaf set mismatch: the group does not act on the leaf set")
 
     base = TreePointerView(tau, group.identity)
     parent, first = base.parent, base.first
@@ -152,12 +156,14 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
         chain[v] = chains.setdefault((chain[parent[v]], v - first[v]), len(chains) + 1)
     key = chain[base.leaves[tau.min_label]]
     candidates = {label for label, v in base.leaves.items() if chain[v] == key}
-    gens: list[Permutation] = [group.identity]
-    closure = close_generators(gens, group.degree)
+    gens, closure, rights = [group.identity], {group.identity.images}, []
     for g in group.elements:
-        if g.images[tau.min_label - 1] in candidates and g not in closure:
+        if g.images[tau.min_label - 1] in candidates and g.images not in closure:
             view = base.with_permutation(g)
             if locate_image(view, view.root) == view.root:
                 gens.append(g)
-                closure = close_generators(gens, group.degree)
-    return StabilizerResult(tuple(gens), closure)
+                rights.append(itemgetter(*[x - 1 for x in g.images]))
+                _close_images(closure, rights)
+    index = group._elem_index()
+    return StabilizerResult(tuple(gens), group._subgroup_from_indices(
+        [index[a] for a in closure], [index[g.images] for g in gens]))

@@ -32,7 +32,7 @@ import copy
 import itertools
 import operator
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .perms import Permutation
 
@@ -170,7 +170,12 @@ def parse_tree(text: str) -> AssemblyTree:
             if not label:
                 raise ValueError(f"expected a leaf label at position "
                                  f"{_offset(tokens, i)} of {s!r}")
-            vertex = AssemblyTree.leaf(int(label))
+            try:
+                value = int(label)
+            except ValueError:  # over the interpreter's int-conversion limit
+                raise ValueError(f"leaf label at position {_offset(tokens, i)} "
+                                 f"is too long to read: {len(label)} digits") from None
+            vertex = AssemblyTree.leaf(value)
             # a word that is not all digits: its leading digits are read as a
             # leaf, and the first character after them is the error
             if len(label) < len(tok):
@@ -356,17 +361,20 @@ class TreePointerView:
             nodes.append(node)
             stack.extend(node.children)
         nodes.reverse()  # postorder: each subtree in order, then its root
-        index = {id(node): v for v, node in enumerate(nodes)}
         n = len(nodes)
-        self.root = n - 1
-        self.children = [[index[id(c)] for c in node.children] for node in nodes]
-        self.parent: list[Optional[int]] = [None] * n
-        self.first = list(range(n))
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                self.parent[c] = v
-            if kids:
-                self.first[v] = self.first[kids[0]]
+        parent, first, children = [None] * n, list(range(n)), []
+        done = []  # the finished subtrees still without a parent, in order
+        for v, node in enumerate(nodes):
+            k = len(node.children)  # its children are the last k subtrees done
+            kids = done[-k:] if k else []
+            if k:
+                del done[-k:]
+                for c in kids:
+                    parent[c] = v
+                first[v] = first[kids[0]]
+            children.append(kids)
+            done.append(v)
+        self.root, self.children, self.parent, self.first = n - 1, children, parent, first
         self.leaf_label = [None if node.children else node.min_label for node in nodes]
         self.leaves = {label: v for v, label in enumerate(self.leaf_label)
                        if label is not None}

@@ -74,6 +74,24 @@ def _inverse_images(images: tuple) -> tuple:
     return tuple(inverse)
 
 
+def closure_by_products(gens, degree: int) -> list[tuple]:
+    """The sorted image tuples of the group that ``gens`` generate on
+    {1..degree}: breadth first from the identity, composing each element
+    with each generator point by point."""
+    identity = tuple(range(1, degree + 1))
+    found, frontier = {identity}, [identity]
+    while frontier:
+        grown = []
+        for a in frontier:
+            for g in gens:
+                b = tuple([a[x - 1] for x in g.images])  # (a * g)(x) = a(g(x))
+                if b not in found:
+                    found.add(b)
+                    grown.append(b)
+        frontier = grown
+    return sorted(found)
+
+
 def join_images(sub: frozenset, gens, times: dict) -> frozenset:
     """The group of image tuples generated by the group ``sub`` and
     ``gens``, which must include generators of ``sub``: one right coset

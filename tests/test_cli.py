@@ -298,6 +298,16 @@ def test_series_refuses_a_non_simple_action(capsys, tmp_path):
     assert err == "error: the group action is not simple\n"
 
 
+@pytest.mark.parametrize("text", ["degree 0\n", "degree 0\n(1 2)\n"])
+def test_a_degree_0_group_file_is_refused_at_its_header(capsys, tmp_path, text):
+    path = tmp_path / "degree_0.group"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "series", "--group", str(path),
+                             "--order", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: group text line 'degree 0': degree must be >= 1\n"
+
+
 def test_deep_tree_succeeds(capsys):
     caterpillar = "1500"
     for leaf in range(1499, 0, -1):

@@ -7,7 +7,7 @@ import pytest
 from capsid.perms import (Permutation, builtin_group, close_generators,
                           group_from_text, parse_permutation,
                           replicated_action, trivial_group)
-from oracles import brute_subgroups, element_order
+from oracles import brute_subgroups, closure_by_products, element_order
 
 
 def test_parse_permutation_examples():
@@ -86,6 +86,23 @@ def test_closure_idempotence(klein, s3):
     for g in (klein, s3):
         again = close_generators(list(g.elements), g.degree)
         assert set(again.elements) == set(g.elements)
+
+
+def test_close_generators_matches_closure_by_products(klein, ico):
+    s5 = close_generators([parse_permutation("(1 2 3 4 5)", 5),
+                           parse_permutation("(1 2)", 5)], 5)
+    cases = [klein.generators, (Permutation.identity(4), *klein.generators),
+             ico.generators, s5.regular_action().generators,
+             replicated_action(ico, 3).generators,
+             builtin_group("trivial:1").generators,
+             # on one point, itemgetter gives a bare int, not a tuple
+             (Permutation.identity(1),)]
+    for gens in cases:
+        degree = gens[0].degree if gens else 1
+        group = close_generators(gens, degree)
+        assert [p.images for p in group.elements] == \
+            closure_by_products(gens, degree)
+        assert group.generators == tuple(gens)
 
 
 def test_orbits(klein):

@@ -168,13 +168,16 @@ def test_stabilizer_matches_brute_force(klein, k1, z2_on_6, z6, s3_regular):
                 set(brute_stabilizer(group, tau))
 
 
-def _greedy_generators(group, tau):
-    """The identity, then each element of the brute-force stabilizer, in
-    increasing order, that the earlier ones do not already generate."""
+def _greedy_generators(group, fixers):
+    """The identity, then each element of the brute-force stabilizer
+    ``fixers``, in increasing order, that the earlier ones do not already
+    generate."""
     gens = [group.identity]
-    for g in sorted(brute_stabilizer(group, tau)):
-        if g not in close_generators(gens, group.degree):
+    closure = close_generators(gens, group.degree)
+    for g in sorted(fixers):
+        if g not in closure:
             gens.append(g)
+            closure = close_generators(gens, group.degree)
     return tuple(gens)
 
 
@@ -183,7 +186,7 @@ def test_stabilizer_generators_are_greedy(s3_regular, z6):
         sample = itertools.islice(enumerate_all_trees(range(1, 7)), 0, 2752, 11)
         for tau in sample:
             assert stabilizer(group, tau).generators == \
-                _greedy_generators(group, tau)
+                _greedy_generators(group, brute_stabilizer(group, tau))
 
 
 def test_stabilizer_leaf_set_mismatch(klein):
@@ -266,6 +269,37 @@ def test_reaimed_view_matches_a_fresh_view():
         assert not any(base.child_count + base.parent_count + base.g_count)
 
 
+def _recursive_postorder(tau):
+    """children, parent, first, leaf_label, leaves and root of tau's
+    vertices numbered in postorder by plain recursion."""
+    children, parent, first, leaf_label = [], [], [], []
+
+    def number(v):
+        kids = [number(c) for c in v.children]
+        u = len(children)
+        children.append(kids)
+        parent.append(None)
+        for c in kids:
+            parent[c] = u
+        first.append(first[kids[0]] if kids else u)
+        leaf_label.append(None if kids else v.min_label)
+        return u
+
+    root = number(tau)
+    leaves = {x: u for u, x in enumerate(leaf_label) if x is not None}
+    return children, parent, first, leaf_label, leaves, root
+
+
+def test_pointer_view_matches_a_recursive_numbering():
+    rng = random.Random(79)
+    trees = [tau for n in range(1, 7) for tau in enumerate_all_trees(range(1, n + 1))]
+    trees += [random_tree(rng, range(1, 61)) for _ in range(20)]
+    for tau in trees:
+        view = pointer_view(tau, Permutation.identity(tau.size))
+        assert (view.children, view.parent, view.first, view.leaf_label,
+                view.leaves, view.root) == _recursive_postorder(tau)
+
+
 def test_reaimed_view_checks_the_degree():
     base = pointer_view(parse_tree("((1,2),3,4)"), Permutation.identity(4))
     with pytest.raises(ValueError, match="does not cover the leaf labels"):
@@ -283,9 +317,9 @@ def _symmetric_tree(group, rng):
 
 
 def _check_against_oracles(group, tau):
-    result = stabilizer(group, tau)
-    assert set(result.group.elements) == set(brute_stabilizer(group, tau))
-    assert result.generators == _greedy_generators(group, tau)
+    result, fixers = stabilizer(group, tau), brute_stabilizer(group, tau)
+    assert set(result.group.elements) == set(fixers)
+    assert result.generators == _greedy_generators(group, fixers)
 
 
 def test_candidate_test_on_the_natural_action_of_s4():
@@ -302,6 +336,16 @@ def test_candidate_test_on_eight_points(klein_on_8, z2_on_8):
     for tau in itertools.islice(enumerate_all_trees(range(1, 9)), 0, None, 7):
         _check_against_oracles(klein_on_8, tau)
         _check_against_oracles(z2_on_8, tau)
+
+
+def test_stabilizer_on_the_natural_action_of_s7():
+    # stabilizers up to the whole group of 5,040, closed without a table
+    s7 = close_generators([parse_permutation("(1 2 3 4 5 6 7)", 7),
+                           parse_permutation("(1 2)", 7)], 7)
+    assert s7.order == 5040
+    for tau in itertools.islice(enumerate_all_trees(range(1, 8)), 0, None, 997):
+        _check_against_oracles(s7, tau)
+    assert s7._table is None
 
 
 def test_candidate_test_on_icosahedral_trees(ico):

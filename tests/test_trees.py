@@ -49,10 +49,14 @@ PARSE_ERRORS = {
     "(1,2,)": "expected a leaf label at position 5 of '(1,2,)'",
     "0x": "leaf labels must be positive integers, got 0",
     "(1,\u00b2)": "expected a leaf label at position 3 of '(1,\u00b2)'",
+    # over the interpreter's default 4,300-digit limit on int()
+    "(" + "1" * 5000 + ",2)": "leaf label at position 1 is too long to read: "
+                              "5000 digits",
 }
 
 
-@pytest.mark.parametrize("text", PARSE_ERRORS)
+@pytest.mark.parametrize(  # the text is the id, but a long one is cut short
+    "text", PARSE_ERRORS, ids=lambda t: f"{t[:12]}...{len(t)}" if len(t) > 60 else None)
 def test_parse_errors(text):
     with pytest.raises(ValueError) as err:
         parse_tree(text)
