@@ -81,13 +81,13 @@ def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
 # -- construction recipes and the recursive generator ---------------------
 
 class FixedTreeRecipe(NamedTuple):
-    """One level of the recursive construction: a partition of the orbit set
-    into parts, one subgroup per part, and one seed union per part (a single
-    subgroup-orbit chosen inside each group-orbit of the part).
+    """One level of the recursive construction, from a partition of the
+    orbit set into parts: one subgroup per part, and one seed union per part
+    (a single subgroup-orbit chosen inside each group-orbit of the part), so
+    a part is the set of group-orbits its seed meets.
 
     The construction recurses on each (subgroup, seed) pair.
     """
-    parts: tuple[tuple[tuple[int, ...], ...], ...]
     subgroups: tuple[PermGroup, ...]
     seeds: tuple[frozenset, ...]
 
@@ -129,7 +129,6 @@ def construction_recipes(group: PermGroup, points: Optional[frozenset] = None
             per_part.append(options)
         for assignment in itertools.product(*per_part):
             yield FixedTreeRecipe(
-                parts=parts,
                 subgroups=tuple(sub for sub, _ in assignment),
                 seeds=tuple(seed for _, seed in assignment))
 

@@ -1,12 +1,11 @@
 """Permutations of {1..N} and small finite permutation groups.
 
 Groups are stored with their full element set; everything is exact and
-deterministic.  The composition convention, fixed once for the whole
-package, is
-
-    (p * q)(x) == p(q(x))
-
-i.e. the right factor acts first.
+deterministic.  Permutations are composed only as image tuples, inside
+the multiplication table and the closure, under one convention: the product
+of p and q is the map x -> p(q(x)), so the right factor acts first, and
+``_mul_table()[i][j]`` is the index of that product for ``elements[i]`` and
+``elements[j]``.
 
 Subgroup work (census, conjugacy classes, normalizers, coset
 representatives) runs on element indices through a multiplication table
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -29,7 +28,7 @@ class Permutation:
     """A bijection of the points 1..N.
 
     ``images[i]`` is the image of point ``i + 1`` (points are 1-based).
-    Instances are immutable, hashable, and totally ordered by the image
+    Instances are immutable, hashable, and sort (``<``) by the image
     sequence; that order is what makes every group computation in this
     package reproducible.
     """
@@ -56,12 +55,6 @@ class Permutation:
         if not 1 <= point <= len(self.images):
             raise ValueError(f"point {point} out of range 1..{len(self.images)}")
         return self.images[point - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if len(self.images) != len(other.images):
-            raise ValueError("degree mismatch in composition")
-        simg = self.images
-        return Permutation(simg[o - 1] for o in other.images)
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
@@ -98,9 +91,6 @@ class Permutation:
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
-
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}]"
@@ -180,15 +170,6 @@ class PermGroup:
     @property
     def identity(self) -> Permutation:
         return self.elements[0]
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm.degree == self.degree and perm.images in self._eset
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PermGroup) and self.degree == other.degree

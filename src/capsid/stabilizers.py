@@ -36,7 +36,6 @@ class StabilizerResult(NamedTuple):
 class TraversalAudit(NamedTuple):
     """Pointer traversal counts after one image-location run."""
     leaf_count: int
-    vertex_count: int
     child_traversals: int
     parent_traversals: int
     g_traversals: int
@@ -54,8 +53,8 @@ class TraversalAudit(NamedTuple):
 
     @property
     def linear_bound(self) -> int:
-        # child and parent pointers number vertex_count - 1 each, g pointers
-        # one per leaf; vertex_count <= 2*leaf_count - 1
+        # a view of n vertices has n - 1 child and n - 1 parent pointers and
+        # one g pointer per leaf, and n <= 2*leaf_count - 1
         return 5 * self.leaf_count
 
     @property
@@ -119,7 +118,6 @@ def pointer_traversal_audit(view: TreePointerView) -> TraversalAudit:
     """
     return TraversalAudit(
         leaf_count=len(view.leaves),
-        vertex_count=len(view.parent),
         child_traversals=sum(view.child_count),
         parent_traversals=sum(view.parent_count),
         g_traversals=sum(view.g_count),
@@ -142,20 +140,21 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
     The closure starts as the identity's image tuple; each new generator
     grows it in place by right multiplication, and the group is built once.
     """
-    leaf_set = tau.labels
-    if max(leaf_set) > group.degree:
-        raise ValueError("leaf set mismatch: labels exceed the group degree")
+    try:
+        base = TreePointerView(tau, group.identity)
+    except ValueError:  # the view's degree check: a label exceeds the degree
+        raise ValueError("leaf set mismatch: labels exceed the group degree") from None
+    leaves = base.leaves
     # the group acts on the leaf set iff the leaf set is a union of orbits
-    if sum(len(o) for o in group.orbits() if leaf_set.issuperset(o)) != len(leaf_set):
+    if sum(len(o) for o in group.orbits() if leaves.keys() >= set(o)) != len(leaves):
         raise ValueError("leaf set mismatch: the group does not act on the leaf set")
 
-    base = TreePointerView(tau, group.identity)
     parent, first = base.parent, base.first
     chain, chains = [0] * len(parent), {}  # chain[v] numbers the sizes along root..v
     for v in reversed(range(base.root)):  # parents before children
         chain[v] = chains.setdefault((chain[parent[v]], v - first[v]), len(chains) + 1)
-    key = chain[base.leaves[tau.min_label]]
-    candidates = {label for label, v in base.leaves.items() if chain[v] == key}
+    key = chain[leaves[tau.min_label]]
+    candidates = {label for label, v in leaves.items() if chain[v] == key}
     gens, closure, rights = [group.identity], {group.identity.images}, []
     for g in group.elements:
         if g.images[tau.min_label - 1] in candidates and g.images not in closure:

@@ -15,9 +15,9 @@ enumerator checks each set partition, and the fixed-tree generator checks
 that each seed's coset translates are disjoint.  Those build vertices
 unchecked: through ``_node``, which sorts the children, or, in the
 enumerator, as one choice of a tree per block of a root partition, whose
-blocks already come in canonical order.  ``AssemblyTree.node`` checks its
-children.  Apart from the enumerator, whose depth the size bound caps, no
-function here recurses along a tree path, so trees of any depth work.
+blocks already come in canonical order.  Apart from the enumerator, whose
+depth the size bound caps, no function here recurses along a tree path, so
+trees of any depth work.
 Trees are immutable, so they may share subtrees and leaves: the
 enumerator's memoized blocks and the fixed-tree generator's one leaf per
 point are shared by every tree built from them.
@@ -51,7 +51,7 @@ class AssemblyTree:
     __slots__ = ("children", "min_label", "size", "_hash")
 
     def __init__(self, children: tuple, min_label: int, size: int, _hash: int):
-        # internal: use AssemblyTree.leaf / AssemblyTree.node
+        # internal: build trees with AssemblyTree.leaf and parse_tree
         self.children = children
         self.min_label = min_label
         self.size = size
@@ -62,18 +62,6 @@ class AssemblyTree:
         if label < 1:
             raise ValueError(f"leaf labels must be positive integers, got {label}")
         return cls((), label, 1, hash(label))
-
-    @classmethod
-    def node(cls, children: Iterable["AssemblyTree"]) -> "AssemblyTree":
-        children = tuple(children)
-        if len(children) < 2:
-            raise ValueError("an internal vertex needs at least two children")
-        labels = set()
-        for child in children:
-            labels.update(child.labels)
-        if len(labels) != sum(child.size for child in children):
-            raise ValueError("children leaf sets overlap")
-        return _node(children)
 
     @property
     def labels(self) -> frozenset:

@@ -3,23 +3,27 @@
 These deliberately avoid the code paths they check: stabilizers come from
 acting with every element, orbit partitions from exhaustive orbits of the
 enumerated tree list, the subgroup census from a plain fixpoint on image
-tuples, and counts from a direct set-partition recursion or a plain integer
-recurrence, neither of which touches the generating-function solver.  The
-three identity checks read counts from the public solver but do their own
-arithmetic.
+tuples, pathway counts from trees of their own (nested frozensets) acted on
+by image tuples, and counts from a direct set-partition recursion or a plain
+integer recurrence, neither of which touches the generating-function solver.
+The three identity checks read counts from the public solver but do their
+own arithmetic.  Products are composed here (``compose``), and trees the
+tests need are built as text and parsed, so no package method serves only
+the tests.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
 
 from capsid.perms import PermGroup, Permutation, close_generators
 from capsid.series import fixed_tree_count, fixed_tree_series
-from capsid.trees import AssemblyTree, act, enumerate_all_trees
+from capsid.trees import AssemblyTree, act, enumerate_all_trees, parse_tree
 
 
 def vertices(tau: AssemblyTree) -> list[AssemblyTree]:
@@ -56,12 +60,18 @@ def brute_fixed_trees(group: PermGroup, labels) -> set[AssemblyTree]:
             if all(act(g, tau) == tau for g in gens)}
 
 
+def compose(a: tuple, b: tuple) -> tuple:
+    """The image tuple of the product of ``a`` and ``b``, x -> a(b(x)): the
+    right factor acts first."""
+    return tuple([a[y - 1] for y in b])
+
+
 def element_order(p: Permutation) -> int:
     """The least k >= 1 with p**k the identity, composing image tuples."""
     identity = tuple(range(1, len(p.images) + 1))
     power, k = p.images, 1
     while power != identity:
-        power = tuple(p.images[y - 1] for y in power)
+        power = compose(p.images, power)
         k += 1
     return k
 
@@ -84,7 +94,7 @@ def closure_by_products(gens, degree: int) -> list[tuple]:
         grown = []
         for a in frontier:
             for g in gens:
-                b = tuple([a[x - 1] for x in g.images])  # (a * g)(x) = a(g(x))
+                b = compose(a, g.images)
                 if b not in found:
                     found.add(b)
                     grown.append(b)
@@ -168,21 +178,21 @@ def set_partitions(items: tuple):
             yield (block,) + sub
 
 
-def trees_in_documented_order(labels):
-    """Every tree on ``labels`` in the order ``enumerate_all_trees``
-    documents, by plain recursion with no memo: root partitions in
-    ``set_partitions`` order (the first block, which holds the least label,
-    by size and then by its other members in lexicographic combination
-    order; the other blocks recursively the same way), partitions into one
-    block left out, and within a partition one tree per block with the
-    first block's tree varying slowest."""
+def tree_texts_in_documented_order(labels):
+    """The canonical text of every tree on ``labels`` in the order
+    ``enumerate_all_trees`` documents, by plain recursion with no memo: root
+    partitions in ``set_partitions`` order (the first block, which holds the
+    least label, by size and then by its other members in lexicographic
+    combination order; the other blocks recursively the same way),
+    partitions into one block left out, and within a partition one tree per
+    block with the first block's tree varying slowest."""
     labels = tuple(sorted(labels))
     if len(labels) == 1:
-        yield AssemblyTree.leaf(labels[0])
+        yield str(labels[0])
         return
     for blocks in _partitions_in_documented_order(labels):
         if len(blocks) > 1:
-            yield from _one_tree_per_block(blocks, ())
+            yield from _one_text_per_block(blocks, ())
 
 
 def _partitions_in_documented_order(items: tuple):
@@ -197,12 +207,13 @@ def _partitions_in_documented_order(items: tuple):
                 yield ((first,) + mates,) + others
 
 
-def _one_tree_per_block(blocks: tuple, chosen: tuple):
+def _one_text_per_block(blocks: tuple, chosen: tuple):
     if not blocks:
-        yield AssemblyTree.node(chosen)
+        # the blocks come ordered by least label, as canonical children are
+        yield "(" + ",".join(chosen) + ")"
         return
-    for tree in trees_in_documented_order(blocks[0]):
-        yield from _one_tree_per_block(blocks[1:], chosen + (tree,))
+    for text in tree_texts_in_documented_order(blocks[0]):
+        yield from _one_text_per_block(blocks[1:], chosen + (text,))
 
 
 def brute_block_systems(group: PermGroup) -> list[frozenset]:
@@ -216,6 +227,51 @@ def brute_block_systems(group: PermGroup) -> list[frozenset]:
                for g in gens for b in system):
             systems.append(system)
     return systems
+
+
+def brute_pathway_counts(group: PermGroup) -> dict[int, int]:
+    """N(m) for every divisor m of the group order, by acting with every
+    element on every tree on the points.  A tree that k elements fix lies in
+    an orbit of |G|/k trees, so N(m) is the number of trees with orbit size
+    m, divided by m.  Trees are nested frozensets, each leaf its label, and
+    elements act as image tuples, so no tree code of the package is used."""
+    moves = [p.images for p in group.elements[1:]]  # the identity fixes all
+    trees_by_orbit_size = Counter()
+    for tau in _frozenset_trees(tuple(range(1, group.degree + 1)), {}):
+        fixers = 1 + sum(_image(g, tau) == tau for g in moves)
+        trees_by_orbit_size[group.order // fixers] += 1
+    counts = {}
+    for m in range(1, group.order + 1):
+        if group.order % m == 0:
+            assert trees_by_orbit_size[m] % m == 0, "orbit count not integral"
+            counts[m] = trees_by_orbit_size[m] // m
+    return counts
+
+
+def _frozenset_trees(labels: tuple, memo: dict):
+    """Every tree on ``labels``, streamed: an internal vertex is the
+    frozenset of its children, and a leaf is its label.  The trees on each
+    smaller block are kept in ``memo``."""
+    if len(labels) == 1:
+        yield labels[0]
+        return
+    for blocks in set_partitions(labels):
+        if len(blocks) > 1:
+            for kids in product(*(_block_trees(b, memo) for b in blocks)):
+                yield frozenset(kids)
+
+
+def _block_trees(block: tuple, memo: dict) -> list:
+    if block not in memo:
+        memo[block] = list(_frozenset_trees(block, memo))
+    return memo[block]
+
+
+def _image(g: tuple, tau):
+    """The image of a frozenset tree under the image tuple ``g``."""
+    if tau.__class__ is int:
+        return g[tau - 1]
+    return frozenset([_image(g, child) for child in tau])
 
 
 def count_trees_by_partition_recursion(n: int) -> int:
@@ -352,10 +408,13 @@ def burnside_total(group: PermGroup) -> int:
 
 def random_tree(rng: random.Random, labels) -> AssemblyTree:
     """A uniform-ish random assembly tree: random root partition into >= 2
-    blocks, recurse."""
-    labels = sorted(labels)
+    blocks, recurse; built as text and parsed."""
+    return parse_tree(_random_tree_text(rng, sorted(labels)))
+
+
+def _random_tree_text(rng: random.Random, labels: list) -> str:
     if len(labels) == 1:
-        return AssemblyTree.leaf(labels[0])
+        return str(labels[0])
     while True:
         buckets: dict[int, list[int]] = {}
         k = rng.randint(2, len(labels))
@@ -363,7 +422,8 @@ def random_tree(rng: random.Random, labels) -> AssemblyTree:
             buckets.setdefault(rng.randrange(k), []).append(x)
         if len(buckets) >= 2:
             break
-    return AssemblyTree.node(random_tree(rng, b) for b in buckets.values())
+    return "(" + ",".join(_random_tree_text(rng, b)
+                          for b in buckets.values()) + ")"
 
 
 def random_permutation(rng: random.Random, degree: int) -> Permutation:

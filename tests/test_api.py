@@ -57,19 +57,53 @@ def test_every_export_is_reached_outside_the_tests():
     assert sorted(exported - referenced) == []
 
 
+def _attributes(path: Path, ctx: type = ast.expr_context) -> set[str]:
+    """Every attribute name ``path`` uses as ``.name``; with ``ctx=ast.Load``
+    only those it reads."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)}
+
+
+def _definitions() -> list[tuple[str, str, str]]:
+    """(qualified name, name, kind) of every function, class, method and
+    NamedTuple field of the package, dunders aside.  A method or field is a
+    direct member of a class body; every other def or class is a "name"."""
+    found, members = [], set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):  # a class before its body
+            if isinstance(node, ast.ClassDef):
+                named_tuple = any(isinstance(base, ast.Name) and base.id == "NamedTuple"
+                                  for base in node.bases)
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        members.add(item)
+                        found.append((f"{node.name}.{item.name}", item.name, "method"))
+                    elif named_tuple and isinstance(item, ast.AnnAssign):
+                        name = item.target.id
+                        found.append((f"{node.name}.{name}", name, "field"))
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node not in members):
+                found.append((node.name, node.name, "name"))
+    return [d for d in found if not (d[1].startswith("__") and d[1].endswith("__"))]
+
+
 def test_every_definition_is_reached_outside_the_tests():
-    # every function, method and class of the package (dunders aside) must
-    # be named by a module of the package or by the benchmark.  This matches
-    # by name only, so a definition whose name something else also uses
-    # (``order``, ``counts``, ``node``) passes unreached.
-    defined = {node.name for path in PACKAGE.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef))
-               and not (node.name.startswith("__") and node.name.endswith("__"))}
-    referenced = _named(CHILD) | _package_named()
-    assert defined
-    assert sorted(defined - referenced) == []
+    # a definition counts as reached if a module of the package or the
+    # benchmark uses it: a function or class by any use of its name, a
+    # method or property only as an attribute (``.name``), and a NamedTuple
+    # field only as an attribute read, so a local variable or a keyword
+    # argument of the same name does not count
+    sources = [CHILD, *(path for path in PACKAGE.glob("*.py")
+                        if path.name != "__init__.py")]
+    reached = {
+        "name": set().union(*map(_named, sources)),
+        "method": set().union(*map(_attributes, sources)),
+        "field": set().union(*(_attributes(path, ast.Load) for path in sources)),
+    }
+    defined = _definitions()
+    assert {kind for _, _, kind in defined} == reached.keys()
+    assert sorted(qualified for qualified, name, kind in defined
+                  if name not in reached[kind]) == []
 
 
 def _loaded_by(code: str) -> list[str]:

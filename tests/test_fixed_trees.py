@@ -208,17 +208,19 @@ def test_recipe_invariants(klein, s3_regular):
         count = 0
         for recipe in construction_recipes(group, points):
             count += 1
-            assert len(recipe.parts) == len(recipe.subgroups) == len(recipe.seeds)
-            if len(recipe.parts) == 1:
+            assert len(recipe.subgroups) == len(recipe.seeds)
+            if len(recipe.seeds) == 1:
                 assert recipe.subgroups[0].order < group.order
-            for part, sub, seed in zip(recipe.parts, recipe.subgroups,
-                                       recipe.seeds):
+            # a part is the set of group-orbits its seed meets, and the
+            # parts partition the orbits
+            parts = [[o for o in group.orbits() if seed.intersection(o)]
+                     for seed in recipe.seeds]
+            assert sorted(o for part in parts for o in part) == group.orbits()
+            for part, sub, seed in zip(parts, recipe.subgroups, recipe.seeds):
                 # the seed is one sub-orbit inside each group-orbit of the part
                 for orbit in part:
                     inside = seed & frozenset(orbit)
                     assert tuple(sorted(inside)) in sub.orbits_within(orbit)
-                assert seed == frozenset().union(
-                    *(seed & frozenset(o) for o in part))
         assert count > 0
 
 

@@ -8,8 +8,8 @@ from capsid.pathways import (format_distribution, pathway_probabilities,
 from capsid.perms import (close_generators, icosahedral_group,
                           parse_permutation, replicated_action, trivial_group)
 
-from oracles import (brute_orbit_partition, burnside_total,
-                     count_trees_by_recurrence)
+from oracles import (brute_orbit_partition, brute_pathway_counts,
+                     burnside_total, count_trees_by_recurrence)
 
 
 def icosahedral_distribution(t_number):
@@ -70,6 +70,37 @@ def test_klein_matches_brute_force_orbits(klein, klein_dist):
     for orbit in orbits:
         sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1
     assert sizes == {m: n for m, n in klein_dist.per_divisor.items() if n}
+
+
+def _generated(degree, *cycles):
+    return close_generators([parse_permutation(c, degree) for c in cycles],
+                            degree)
+
+
+PATHWAY_GROUPS = {
+    "c3_on_6": lambda: _generated(6, "(1 2 3)(4 5 6)"),
+    "c6_regular": lambda: _generated(6, "(1 2 3 4 5 6)"),
+    "s3_regular": lambda: _generated(3, "(1 2 3)", "(1 2)").regular_action(),
+    "c7_regular": lambda: _generated(7, "(1 2 3 4 5 6 7)"),
+}
+
+SLOW_PATHWAY_GROUPS = {
+    "c4_on_8": lambda: _generated(8, "(1 2 3 4)(5 6 7 8)"),
+    "c8_regular": lambda: _generated(8, "(1 2 3 4 5 6 7 8)"),
+    "d4_regular": lambda: _generated(4, "(1 2 3 4)", "(1 3)").regular_action(),
+    "q8": lambda: _generated(8, "(1 2 4 7)(3 6 8 5)", "(1 3 4 8)(2 5 7 6)"),
+}
+
+
+@pytest.mark.parametrize("name", [
+    *PATHWAY_GROUPS,
+    *(pytest.param(name, marks=pytest.mark.slow) for name in SLOW_PATHWAY_GROUPS),
+])
+def test_distribution_matches_brute_force_fixers(name):
+    group = {**PATHWAY_GROUPS, **SLOW_PATHWAY_GROUPS}[name]()
+    assert group.is_simple_action()
+    assert brute_pathway_counts(group) == \
+        pathway_size_distribution(group).per_divisor
 
 
 def test_trivial_group_distribution():

@@ -11,7 +11,7 @@ from capsid.perms import Permutation, close_generators, group_from_text  # noqa:
 from capsid.stabilizers import fixes, stabilizer  # noqa: E402
 from capsid.trees import act, parse_tree  # noqa: E402
 
-from oracles import brute_stabilizer, random_tree, vertices  # noqa: E402
+from oracles import brute_stabilizer, compose, random_tree, vertices  # noqa: E402
 
 
 @st.composite
@@ -52,7 +52,8 @@ def test_act_is_a_group_action(case, data):
     group, tau = case
     g, h = (data.draw(st.sampled_from(group.elements)) for _ in range(2))
     assert act(group.identity, tau) == tau
-    assert act(g * h, tau) == act(g, act(h, tau))
+    gh = Permutation(compose(g.images, h.images))
+    assert act(gh, tau) == act(g, act(h, tau))
 
 
 @PROPERTY

@@ -7,10 +7,11 @@ from capsid.perms import (Permutation, close_generators, parse_permutation,
                           trivial_group)
 from capsid.stabilizers import (fixes, locate_image, pointer_traversal_audit,
                                stabilizer)
-from capsid.trees import (AssemblyTree, TreePointerView, act,
-                          enumerate_all_trees, parse_tree, pointer_view)
+from capsid.trees import (TreePointerView, act, enumerate_all_trees,
+                          parse_tree, pointer_view)
 
-from oracles import brute_stabilizer, random_permutation, random_tree, vertices
+from oracles import (brute_stabilizer, closure_by_products, compose,
+                     random_permutation, random_tree, vertices)
 
 
 @pytest.fixture
@@ -147,11 +148,12 @@ def test_stabilizer_output_is_subgroup(klein, s3_regular):
         result = stabilizer(s3_regular, tau)
         group = result.group
         assert group.identity.is_identity()
-        for a in group.elements:
-            for b in group.elements:
-                assert (a * b) in group
+        images = {p.images for p in group.elements}
+        for a in images:
+            for b in images:
+                assert compose(a, b) in images
         for gen in result.generators:
-            assert gen in group
+            assert gen.images in images
             assert fixes(gen, tau)
 
 
@@ -173,11 +175,11 @@ def _greedy_generators(group, fixers):
     ``fixers``, in increasing order, that the earlier ones do not already
     generate."""
     gens = [group.identity]
-    closure = close_generators(gens, group.degree)
+    closure = set(closure_by_products(gens, group.degree))
     for g in sorted(fixers):
-        if g not in closure:
+        if g.images not in closure:
             gens.append(g)
-            closure = close_generators(gens, group.degree)
+            closure = set(closure_by_products(gens, group.degree))
     return tuple(gens)
 
 
@@ -190,11 +192,15 @@ def test_stabilizer_generators_are_greedy(s3_regular, z6):
 
 
 def test_stabilizer_leaf_set_mismatch(klein):
-    with pytest.raises(ValueError):
+    # the degree message comes first, not the pointer view's own check
+    with pytest.raises(ValueError) as err:
         stabilizer(klein, parse_tree("(1,2,3,4,5)"))
-    with pytest.raises(ValueError):
+    assert str(err.value) == "leaf set mismatch: labels exceed the group degree"
+    with pytest.raises(ValueError) as err:
         stabilizer(close_generators([parse_permutation("(1 2)(3 4)", 4)], 4),
                    parse_tree("(1,2,3)"))
+    assert str(err.value) == \
+        "leaf set mismatch: the group does not act on the leaf set"
 
 
 def test_audit_each_pointer_once(example_tree):
@@ -238,9 +244,8 @@ def test_audit_randomized():
 def test_fixes_on_a_deep_caterpillar():
     # 2,000 leaves nested 1,999 deep, far past the interpreter's recursion
     # limit
-    tau = AssemblyTree.leaf(1)
-    for label in range(2, 2001):
-        tau = AssemblyTree.node([tau, AssemblyTree.leaf(label)])
+    tau = parse_tree("(" * 1999 + "1" +
+                     "".join(f",{label})" for label in range(2, 2001)))
     assert fixes(Permutation.identity(2000), tau)
     assert fixes(parse_permutation("(1 2)", 2000), tau)
     assert not fixes(parse_permutation("(1 3)", 2000), tau)
@@ -310,10 +315,9 @@ def _symmetric_tree(group, rng):
     """A tree fixed by <a> for a random element a: the root's children are
     the <a>-orbits of the points, each a star (or a leaf)."""
     sub = close_generators([rng.choice(group.elements)], group.degree)
-    return AssemblyTree.node(
-        AssemblyTree.node(AssemblyTree.leaf(x) for x in orbit)
-        if len(orbit) > 1 else AssemblyTree.leaf(orbit[0])
-        for orbit in sub.orbits())
+    return parse_tree("(" + ",".join(
+        "(" + ",".join(map(str, orbit)) + ")" if len(orbit) > 1 else str(orbit[0])
+        for orbit in sub.orbits()) + ")")
 
 
 def _check_against_oracles(group, tau):
