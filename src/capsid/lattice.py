@@ -14,10 +14,13 @@ from .perms import PermGroup, SubgroupClass
 class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion, with Moebius values.
 
-    ``nodes`` is canonically ordered by (order, element set); ``node_class[i]``
-    is the index in ``classes`` of nodes[i]'s conjugacy class; ``leq[i][j]``
-    says nodes[i] <= nodes[j]; ``mobius[i][j]`` is mu(nodes[i], nodes[j]) and
-    None where the pair is incomparable.
+    ``nodes`` is canonically ordered by (order, element set), so the group
+    itself is last; ``node_class[i]`` is the index in ``classes`` of
+    nodes[i]'s conjugacy class; ``leq[i][j]`` says nodes[i] <= nodes[j];
+    ``mobius[i][j]`` is mu(nodes[i], nodes[j]) and None exactly where
+    nodes[i] <= nodes[j] fails.  Readers take a whole row: ``index_of`` finds
+    a subgroup's row, whose true ``leq`` entries and non-None ``mobius``
+    entries both mark the interval above it, and ``class_of`` its class.
     """
 
     def __init__(self, nodes: list[PermGroup], classes: list[SubgroupClass]):
@@ -51,18 +54,6 @@ class SubgroupLattice:
             return self._node_index[sub]
         except KeyError:
             raise ValueError("subgroup is not a node of this lattice") from None
-
-    def mobius_value(self, below: PermGroup, above: PermGroup) -> int:
-        i, j = self.index_of(below), self.index_of(above)
-        value = self.mobius[i][j]
-        if value is None:
-            raise ValueError("subgroups are not nested")
-        return value
-
-    def interval_above(self, sub: PermGroup) -> list[PermGroup]:
-        """All nodes K with sub <= K, including sub and the full group."""
-        i = self.index_of(sub)
-        return [self.nodes[j] for j in range(len(self.nodes)) if self.leq[i][j]]
 
     def class_of(self, sub: PermGroup) -> SubgroupClass:
         return self.classes[self.node_class[self.index_of(sub)]]

@@ -49,11 +49,13 @@ class PathwayDistribution(NamedTuple):
 def tbar(group: PermGroup, sub: PermGroup, t: dict[PermGroup, int],
          lat: SubgroupLattice) -> int:
     """Moebius inversion at one subgroup: the number of trees fixed by sub
-    and by nothing larger, given t on every supergroup of ``lat``, the
-    lattice of ``group``.  ``group`` itself is not read; it stays first
-    because callers, the benchmark among them, pass it by position."""
-    value = sum(lat.mobius_value(sub, over) * t[over]
-                for over in lat.interval_above(sub))
+    and by nothing larger, the sum of mu(sub, K) * t(K) over sub's row of
+    ``lat.mobius``, whose non-None entries are the supergroups K of sub in
+    ``lat``, the lattice of ``group``.  ``group`` itself is not read; it
+    stays first because callers, the benchmark among them, pass it by
+    position."""
+    row = lat.mobius[lat.index_of(sub)]
+    value = sum(mu * t[k] for k, mu in zip(lat.nodes, row) if mu is not None)
     if value < 0:
         raise ArithmeticError(
             f"negative inverted count {value} for a subgroup of order {sub.order}; "
@@ -65,13 +67,21 @@ def pathway_size_distribution(group: PermGroup,
                               lat: Optional[SubgroupLattice] = None
                               ) -> PathwayDistribution:
     """Compute N(m) for every divisor m of the group order, from the
-    generating-function counts and Moebius inversion."""
+    generating-function counts and Moebius inversion.  A supplied ``lat``
+    must be the lattice of ``group``."""
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
-    leaf_count = group.degree
     if lat is None:
         lat = build_lattice(group)
-    t_by_class = _fixed_counts_by_class(lat, leaf_count)
+    elif lat.nodes[-1] != group:
+        raise ValueError("the lattice is not the given group's")
+    leaf_count = group.degree
+    # every subgroup H of a simple action acts simply, with leaf_count / |H|
+    # orbits, and |H| divides leaf_count
+    orders = {c: leaf_count // cls.representative.order
+              for c, cls in enumerate(lat.classes)}
+    counts = series.class_tree_counts(lat, orders)
+    t_by_class = [counts[c][n] for c, n in orders.items()]
     t = {sub: t_by_class[c] for sub, c in zip(lat.nodes, lat.node_class)}
 
     rows = []
@@ -110,20 +120,6 @@ def pathway_probabilities(dist: PathwayDistribution) -> dict[int, Fraction]:
     each of the N(m) pathways of that size."""
     return {m: Fraction(m, dist.total_trees)
             for m, n in sorted(dist.per_divisor.items()) if n}
-
-
-def _fixed_counts_by_class(lat: SubgroupLattice, leaf_count: int) -> list[int]:
-    """t(H) for each class of ``lat``: every subgroup H of a simple action on
-    ``leaf_count`` points acts simply as well, with leaf_count / |H| orbits."""
-    orders = {}
-    for ci, cls in enumerate(lat.classes):
-        if leaf_count % cls.representative.order:
-            raise ArithmeticError(
-                "leaf count is not a multiple of a subgroup order; "
-                "the action cannot be simple")
-        orders[ci] = leaf_count // cls.representative.order
-    counts = series.class_tree_counts(lat, orders)
-    return [counts[ci][n] for ci, n in orders.items()]
 
 
 def _divisors(n: int) -> list[int]:

@@ -403,20 +403,21 @@ def close_generators(gens: Sequence[Permutation], degree: int) -> PermGroup:
     """Smallest permutation group on {1..degree} containing ``gens``."""
     if any(g.degree != degree for g in gens):
         raise ValueError("degree mismatch among generators")
-    ident = Permutation.identity(degree)
-    images = {ident.images}
-    # the identity moves nothing, and on one point itemgetter gives no tuple
-    _close_images(images, [operator.itemgetter(*[x - 1 for x in g.images])
-                           for g in gens if g != ident])
+    images = {Permutation.identity(degree).images}
+    _close_images(images, gens)
     elements = [object.__new__(Permutation) for _ in images]
     for p, a in zip(elements, images):  # products of bijections: no check
         p.images = a
     return PermGroup(degree, gens, elements)
 
 
-def _close_images(images: set, rights: list) -> None:
+def _close_images(images: set, gens: Sequence[Permutation]) -> None:
     """Grow the image-tuple set ``images`` in place, breadth first, to its
-    closure under ``rights``: ``itemgetter(*(g(x) - 1 for x))`` maps a to a * g."""
+    closure under right multiplication by ``gens``."""
+    # itemgetter(*(g(x) - 1 for x)) maps a to a * g; the identity adds
+    # nothing, and on one point itemgetter gives no tuple
+    rights = [operator.itemgetter(*[x - 1 for x in g.images])
+              for g in gens if not g.is_identity()]
     frontier = list(images)
     while frontier:
         grown = []

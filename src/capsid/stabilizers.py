@@ -16,7 +16,6 @@ closure of the fixers found is a set of image tuples grown in place.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .perms import PermGroup, Permutation, _close_images
@@ -155,14 +154,13 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
         chain[v] = chains.setdefault((chain[parent[v]], v - first[v]), len(chains) + 1)
     key = chain[leaves[tau.min_label]]
     candidates = {label for label, v in leaves.items() if chain[v] == key}
-    gens, closure, rights = [group.identity], {group.identity.images}, []
+    gens, closure = [group.identity], {group.identity.images}
     for g in group.elements:
         if g.images[tau.min_label - 1] in candidates and g.images not in closure:
             view = base.with_permutation(g)
             if locate_image(view, view.root) == view.root:
                 gens.append(g)
-                rights.append(itemgetter(*[x - 1 for x in g.images]))
-                _close_images(closure, rights)
+                _close_images(closure, gens[1:])  # gens[0] is the identity
     index = group._elem_index()
     return StabilizerResult(tuple(gens), group._subgroup_from_indices(
         [index[a] for a in closure], [index[g.images] for g in gens]))

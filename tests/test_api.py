@@ -106,6 +106,22 @@ def test_every_definition_is_reached_outside_the_tests():
                   if name not in reached[kind]) == []
 
 
+def test_every_import_is_used():
+    # no linter ships with the project: a name a module imports must appear
+    # in it as a name or as the base of an attribute (``module.name``)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
 def _loaded_by(code: str) -> list[str]:
     """The modules a fresh interpreter loads while it runs ``code``."""
     script = ("import json, sys\nbefore = set(sys.modules)\n" + code +

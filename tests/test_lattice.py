@@ -3,6 +3,7 @@ import random
 import pytest
 
 from capsid.lattice import build_lattice
+from capsid.pathways import tbar
 from capsid.perms import trivial_group
 
 
@@ -16,31 +17,57 @@ def ico_lattice(ico):
     return build_lattice(ico)
 
 
+def mu(lat, below, above):
+    """mu(below, above), read off ``below``'s row of ``lat.mobius``."""
+    return lat.mobius[lat.index_of(below)][lat.index_of(above)]
+
+
+def above(lat, sub):
+    """The nodes K >= sub, read off ``sub``'s row of ``lat.leq``."""
+    return [k for k, le in zip(lat.nodes, lat.leq[lat.index_of(sub)]) if le]
+
+
 def test_klein_mobius_values(klein_lattice):
     lat = klein_lattice
     trivial, top = lat.nodes[0], lat.nodes[-1]
-    assert lat.mobius_value(trivial, trivial) == 1
+    assert mu(lat, trivial, trivial) == 1
     for sub in lat.nodes[1:4]:
         assert sub.order == 2
-        assert lat.mobius_value(trivial, sub) == -1
-        assert lat.mobius_value(sub, top) == -1
-        assert lat.mobius_value(sub, sub) == 1
-    assert lat.mobius_value(trivial, top) == 2
-    assert lat.mobius_value(top, top) == 1
+        assert mu(lat, trivial, sub) == -1
+        assert mu(lat, sub, top) == -1
+        assert mu(lat, sub, sub) == 1
+    assert mu(lat, trivial, top) == 2
+    assert mu(lat, top, top) == 1
 
 
 def test_interval_above(klein_lattice, ico_lattice):
     k1 = klein_lattice.nodes[1]
-    assert [s.order for s in klein_lattice.interval_above(k1)] == [2, 4]
+    assert [s.order for s in above(klein_lattice, k1)] == [2, 4]
     top = klein_lattice.nodes[-1]
-    assert klein_lattice.interval_above(top) == [top]
+    assert above(klein_lattice, top) == [top]
     h5 = next(n for n in ico_lattice.nodes if n.order == 5)
-    assert [s.order for s in ico_lattice.interval_above(h5)] == [5, 10, 60]
+    assert [s.order for s in above(ico_lattice, h5)] == [5, 10, 60]
 
 
-def test_interval_above_rejects_foreign_subgroup(klein_lattice, s3):
-    with pytest.raises(ValueError):
-        klein_lattice.interval_above(s3)
+def test_interval_above_rejects_foreign_subgroup(klein, klein_lattice, s3):
+    t = {node: 1 for node in klein_lattice.nodes}
+    with pytest.raises(ValueError, match="subgroup is not a node of this lattice"):
+        klein_lattice.index_of(s3)
+    with pytest.raises(ValueError, match="subgroup is not a node of this lattice"):
+        tbar(klein, s3, t, klein_lattice)
+
+
+@pytest.mark.parametrize("group", ["klein", "ico", "s3_regular", "s3"])
+def test_mobius_is_none_exactly_off_the_order(group, request):
+    # tbar reads a whole mobius row: its non-None entries must be the
+    # interval above the row's subgroup, with mu 1 on the diagonal; natural
+    # s3 is not a simple action, and the lattice takes it all the same
+    lat = build_lattice(request.getfixturevalue(group))
+    n = len(lat.nodes)
+    for i in range(n):
+        assert lat.mobius[i][i] == 1
+        assert [lat.mobius[i][j] is None for j in range(n)] == \
+            [not lat.leq[i][j] for j in range(n)]
 
 
 def test_defining_recursion_rows(ico_lattice):
@@ -70,17 +97,17 @@ def test_mobius_round_trip(ico_lattice):
     lat = ico_lattice
     rng = random.Random(11)
     t = {node: rng.randrange(-100, 100) for node in lat.nodes}
-    tbar = {node: sum(lat.mobius_value(node, k) * t[k]
-                      for k in lat.interval_above(node)) for node in lat.nodes}
+    tbar = {node: sum(mu(lat, node, k) * t[k] for k in above(lat, node))
+            for node in lat.nodes}
     for node in lat.nodes:
-        assert sum(tbar[k] for k in lat.interval_above(node)) == t[node]
+        assert sum(tbar[k] for k in above(lat, node)) == t[node]
 
 
 def test_conjugates_share_mobius_to_top(ico_lattice):
     lat = ico_lattice
     top = lat.nodes[-1]
     for cls in lat.classes:
-        values = {lat.mobius_value(m, top) for m in cls.members}
+        values = {mu(lat, m, top) for m in cls.members}
         assert len(values) == 1
 
 
@@ -91,8 +118,7 @@ def test_icosahedral_mobius_top_column(ico_lattice):
     top = lat.nodes[-1]
     by_order = {}
     for cls in lat.classes:
-        by_order[cls.representative.order] = lat.mobius_value(
-            cls.representative, top)
+        by_order[cls.representative.order] = mu(lat, cls.representative, top)
     assert by_order == {1: -60, 2: 4, 3: 2, 4: 0, 5: 0, 6: -1, 10: -1,
                         12: -1, 60: 1}
 
@@ -118,7 +144,7 @@ def test_hasse_edge_counts(ico_lattice):
 def test_trivial_lattice():
     lat = build_lattice(trivial_group(3))
     assert len(lat.nodes) == 1
-    assert lat.mobius_value(lat.nodes[0], lat.nodes[0]) == 1
+    assert mu(lat, lat.nodes[0], lat.nodes[0]) == 1
 
 
 def test_csv_export(klein_lattice):

@@ -5,7 +5,7 @@ import pytest
 from capsid.lattice import build_lattice
 from capsid.pathways import (format_distribution, pathway_probabilities,
                              pathway_size_distribution, tbar)
-from capsid.perms import (close_generators, icosahedral_group,
+from capsid.perms import (close_generators, cyclic_group, icosahedral_group,
                           parse_permutation, replicated_action, trivial_group)
 
 from oracles import (brute_orbit_partition, brute_pathway_counts,
@@ -147,6 +147,16 @@ def test_rejects_non_simple_action():
     bad = close_generators([parse_permutation("(1 2)", 3)], 3)
     with pytest.raises(ValueError):
         pathway_size_distribution(bad)
+
+
+@pytest.mark.parametrize("other", [
+    lambda klein: cyclic_group(4),                 # same degree and order
+    lambda klein: replicated_action(klein, 2),     # same abstract group, 8 points
+], ids=["c4", "klein_on_8"])
+def test_rejects_another_groups_lattice(klein, other):
+    lat = build_lattice(other(klein))
+    with pytest.raises(ValueError, match="the lattice is not the given group's"):
+        pathway_size_distribution(klein, lat)
 
 
 def test_format_distribution_deterministic(klein_dist):
