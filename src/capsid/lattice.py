@@ -16,11 +16,12 @@ class SubgroupLattice:
 
     ``nodes`` is canonically ordered by (order, element set), so the group
     itself is last; ``node_class[i]`` is the index in ``classes`` of
-    nodes[i]'s conjugacy class; ``leq[i][j]`` says nodes[i] <= nodes[j];
-    ``mobius[i][j]`` is mu(nodes[i], nodes[j]) and None exactly where
-    nodes[i] <= nodes[j] fails.  Readers take a whole row: ``index_of`` finds
-    a subgroup's row, whose true ``leq`` entries and non-None ``mobius``
-    entries both mark the interval above it, and ``class_of`` its class.
+    nodes[i]'s conjugacy class; ``mobius[i][j]`` is mu(nodes[i], nodes[j])
+    and None exactly where nodes[i] <= nodes[j] fails, so the matrix also
+    holds the order: a row's non-None entries mark the interval above its
+    node and a column's the nodes below its node.  Readers take a whole
+    row or column: ``index_of`` finds a subgroup's index, and ``class_of``
+    its class.
     """
 
     def __init__(self, nodes: list[PermGroup], classes: list[SubgroupClass]):
@@ -33,21 +34,18 @@ class SubgroupLattice:
                 node_class[self.index_of(member)] = ci
         self.node_class = tuple(node_class)
         n = len(self.nodes)
-        self.leq = [[nodes[i].is_subgroup_of(nodes[j]) for j in range(n)]
-                    for i in range(n)]
-        self.mobius: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        # nodes are sorted by order, so every K in [H, L) precedes L
-        for i in range(n):
-            leq_i = self.leq[i]
-            for j in range(i, n):
-                if not leq_i[j]:
-                    continue
-                if i == j:
-                    self.mobius[i][j] = 1
-                else:
-                    self.mobius[i][j] = -sum(
-                        self.mobius[i][k]
-                        for k in range(i, j) if leq_i[k] and self.leq[k][j])
+        self.mobius = mobius = [None] * n
+        # only j > i can lie above i (nodes are sorted by order), and rows
+        # are filled from the last up, so "k <= j" reads off finished row k
+        for i in reversed(range(n)):
+            row: list[Optional[int]] = [None] * n
+            row[i], above = 1, []   # above: the k > i with nodes[i] <= nodes[k]
+            for j in range(i + 1, n):
+                if nodes[i].is_subgroup_of(nodes[j]):
+                    row[j] = -1 - sum(row[k] for k in above
+                                      if mobius[k][j] is not None)
+                    above.append(j)
+            mobius[i] = row
 
     def index_of(self, sub: PermGroup) -> int:
         try:

@@ -234,27 +234,17 @@ class PermGroup:
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Partition of {1..degree} into minimal invariant subsets,
-        ordered by minimum point."""
-        if self._orbits is not None:
-            return list(self._orbits)
-        seen: set[int] = set()
-        out = []
-        for x in range(1, self.degree + 1):
-            if x in seen:
-                continue
-            orb = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for g in self.generators:
-                    z = g(y)
-                    if z not in orb:
-                        orb.add(z)
-                        stack.append(z)
-            seen |= orb
-            out.append(tuple(sorted(orb)))
-        self._orbits = out
-        return list(out)
+        ordered by minimum point: each orbit is the images of its least
+        point under every element, whatever generators the group keeps."""
+        if self._orbits is None:
+            seen: set[int] = set()
+            self._orbits = []
+            for x in range(self.degree):
+                if x + 1 not in seen:
+                    orbit = {p.images[x] for p in self.elements}
+                    seen |= orbit
+                    self._orbits.append(tuple(sorted(orbit)))
+        return list(self._orbits)
 
     def orbits_within(self, points: Iterable[int]) -> list[tuple[int, ...]]:
         """Orbits restricted to an invariant subset of the points."""
@@ -290,7 +280,6 @@ class PermGroup:
         classes: list[dict] = []  # conjugacy classes, as parts of known
 
         def file_class(fs: frozenset, gens: tuple[int, ...]) -> None:
-            # each conjugate keeps conjugated generators, which orbits() walks
             conjugates = {}
             for g in range(self.order):
                 row, g_inv = table[g], inv[g]
@@ -438,8 +427,7 @@ def replicated_action(group: PermGroup, copies: int) -> PermGroup:
     n = group.degree
 
     def widen(p: Permutation) -> Permutation:
-        return Permutation(c * n + p(i)
-                           for c in range(copies) for i in range(1, n + 1))
+        return Permutation([c * n + x for c in range(copies) for x in p.images])
 
     return PermGroup(n * copies, [widen(g) for g in group.generators],
                      [widen(p) for p in group.elements])
@@ -488,8 +476,11 @@ def builtin_group(name: str) -> PermGroup:
 
 
 def _parse_size(name: str) -> int:
+    size = name.split(":", 1)[1]
     try:
-        k = int(name.split(":", 1)[1])
+        if not size.isdecimal():
+            raise ValueError
+        k = int(size)  # past the int-conversion limit, a ValueError too
     except ValueError:
         raise ValueError(f"malformed builtin group name: {name!r}") from None
     if k < 1:

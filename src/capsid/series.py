@@ -55,10 +55,12 @@ def class_tree_counts(lat: SubgroupLattice,
     in ``lat.classes`` order (smaller subgroups first) suffices.
 
     For the class of H, w_n = sum over nodes K < H of t_n(K) * (H:K)**(n-1)
-    and u = t + w.  The trivial class (w = 0) comes whole from
-    :func:`base_tree_series`, the diagonal sums, before the order loop; every
-    other class takes the convolution t_n = w_n + 2 sum C(n-1, k-1) u_k t_{n-k}
-    of the module docstring, one order at a time.
+    and u = t + w; the nodes K < H are the non-None entries of H's
+    ``lat.mobius`` column above the diagonal.  The trivial class (w = 0)
+    comes whole from :func:`base_tree_series`, the diagonal sums, before the
+    order loop; every other class takes the convolution
+    t_n = w_n + 2 sum C(n-1, k-1) u_k t_{n-k} of the module docstring, one
+    order at a time.
     """
     classes = lat.classes
     # below[c]: ((class of K, (H:K)), multiplicity) over the nodes K < H
@@ -67,7 +69,7 @@ def class_tree_counts(lat: SubgroupLattice,
         h = lat.index_of(cls.representative)
         below.append(list(Counter(
             (lat.node_class[k], lat.nodes[h].order // lat.nodes[k].order)
-            for k in range(h) if lat.leq[k][h]).items()))
+            for k in range(h) if lat.mobius[k][h] is not None).items()))
     need = [0] * len(classes)
     for c, order in orders.items():
         need[c] = order

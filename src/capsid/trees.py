@@ -21,6 +21,8 @@ trees of any depth work.
 Trees are immutable, so they may share subtrees and leaves: the
 enumerator's memoized blocks and the fixed-tree generator's one leaf per
 point are shared by every tree built from them.
+The pointer view that ``fixes`` and ``stabilizer`` walk keeps its
+pointers as flat lists and each leaf label once, in its leaf map.
 
 The exhaustive enumerator in this module is the brute-force oracle that the
 rest of the package is tested against.
@@ -331,13 +333,13 @@ class TreePointerView:
     this one: vertices are numbered in postorder, so the root is last and
     the subtree at v is the range ``first[v]..v``; ``children[v]`` and
     ``parent[v]`` (None at the root) are the child and parent pointers;
-    labels are stored only at the leaves (``leaf_label[v]``, None
-    elsewhere), and ``leaves`` maps each label to its leaf.  The aim, each
-    view's own: the g-pointer ``g_target[v]`` of a leaf labeled u is the
-    leaf labeled g(u), or None when g(u) is not a leaf, and each pointer has
-    a traversal counter: ``child_count[c]`` for the pointer from c's parent
-    to c, ``parent_count[c]`` for c's parent pointer and ``g_count[v]`` for
-    a leaf's g-pointer.  The counters make a view single-use and
+    labels are kept once, in ``leaves``, which maps each leaf label to its
+    vertex.  The aim, each view's own: the g-pointer ``g_target[v]`` of a
+    leaf labeled u is the leaf labeled g(u), or None when g(u) is not a
+    leaf (and at every internal vertex), and each pointer has a traversal
+    counter: ``child_count[c]`` for the pointer from c's parent to c,
+    ``parent_count[c]`` for c's parent pointer and ``g_count[v]`` for a
+    leaf's g-pointer.  The counters make a view single-use and
     single-threaded; take a fresh view, built or re-aimed, for each run.
     """
 
@@ -363,9 +365,8 @@ class TreePointerView:
             children.append(kids)
             done.append(v)
         self.root, self.children, self.parent, self.first = n - 1, children, parent, first
-        self.leaf_label = [None if node.children else node.min_label for node in nodes]
-        self.leaves = {label: v for v, label in enumerate(self.leaf_label)
-                       if label is not None}
+        self.leaves = {node.min_label: v for v, node in enumerate(nodes)
+                       if not node.children}
         self._aim(g)
 
     def with_permutation(self, g: Permutation) -> "TreePointerView":
@@ -376,8 +377,10 @@ class TreePointerView:
         if g.degree < max(self.leaves):
             raise ValueError("permutation degree does not cover the leaf labels")
         images, leaves, n = g.images, self.leaves, len(self.parent)
-        self.g_target = [None if label is None else leaves.get(images[label - 1])
-                         for label in self.leaf_label]
+        g_target = [None] * n
+        for label, v in leaves.items():
+            g_target[v] = leaves.get(images[label - 1])
+        self.g_target = g_target
         self.child_count = [0] * n
         self.parent_count = [0] * n
         self.g_count = [0] * n

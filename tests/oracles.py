@@ -375,7 +375,8 @@ def composition_identity_holds(lat, counts: list[list[int]]) -> bool:
         f = tree_counts_by_recurrence(top)
         w = [sum(counts[lat.node_class[k]][n]
                  * (lat.nodes[h].order // lat.nodes[k].order) ** (n - 1)
-                 for k in range(h) if lat.leq[k][h]) if n else 0
+                 for k in range(h)
+                 if lat.nodes[k].is_subgroup_of(lat.nodes[h])) if n else 0
              for n in range(top + 1)]
         u = [Fraction(t + wn, factorial(n))
              for n, (t, wn) in enumerate(zip(counts[c], w))]

@@ -106,6 +106,33 @@ def test_every_definition_is_reached_outside_the_tests():
                   if name not in reached[kind]) == []
 
 
+def _instance_attributes() -> list[tuple[str, str]]:
+    """(qualified name, name) of every attribute a package class assigns
+    as ``self.name = ...``, as a plain, tuple or annotated target."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                found.update((f"{cls.name}.{node.attr}", node.attr)
+                             for node in ast.walk(cls)
+                             if isinstance(node, ast.Attribute)
+                             and isinstance(node.ctx, ast.Store)
+                             and isinstance(node.value, ast.Name)
+                             and node.value.id == "self")
+    return sorted(found)
+
+
+def test_every_instance_attribute_is_read():
+    # a stored attribute counts as read if a module of the package or the
+    # benchmark reads it as ``.name``, so no class keeps a write-only copy
+    # of what it stores elsewhere
+    sources = [CHILD, *PACKAGE.glob("*.py")]
+    read = set().union(*(_attributes(path, ast.Load) for path in sources))
+    stored = _instance_attributes()
+    assert stored
+    assert [qualified for qualified, name in stored if name not in read] == []
+
+
 def test_every_import_is_used():
     # no linter ships with the project: a name a module imports must appear
     # in it as a name or as the base of an attribute (``module.name``)

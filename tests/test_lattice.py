@@ -23,8 +23,13 @@ def mu(lat, below, above):
 
 
 def above(lat, sub):
-    """The nodes K >= sub, read off ``sub``'s row of ``lat.leq``."""
-    return [k for k, le in zip(lat.nodes, lat.leq[lat.index_of(sub)]) if le]
+    """The nodes K >= sub, by testing containment directly."""
+    return [k for k in lat.nodes if sub.is_subgroup_of(k)]
+
+
+def leq(lat, i, j):
+    """nodes[i] <= nodes[j], tested directly, not read off the matrix."""
+    return lat.nodes[i].is_subgroup_of(lat.nodes[j])
 
 
 def test_klein_mobius_values(klein_lattice):
@@ -59,15 +64,16 @@ def test_interval_above_rejects_foreign_subgroup(klein, klein_lattice, s3):
 
 @pytest.mark.parametrize("group", ["klein", "ico", "s3_regular", "s3"])
 def test_mobius_is_none_exactly_off_the_order(group, request):
-    # tbar reads a whole mobius row: its non-None entries must be the
-    # interval above the row's subgroup, with mu 1 on the diagonal; natural
-    # s3 is not a simple action, and the lattice takes it all the same
+    # tbar reads a whole mobius row and class_tree_counts a column: the
+    # non-None entries must be exactly the contained pairs, below the
+    # diagonal too, where the lattice tests none, with mu 1 on the diagonal;
+    # natural s3 is not a simple action, and the lattice takes it all the same
     lat = build_lattice(request.getfixturevalue(group))
     n = len(lat.nodes)
     for i in range(n):
         assert lat.mobius[i][i] == 1
         assert [lat.mobius[i][j] is None for j in range(n)] == \
-            [not lat.leq[i][j] for j in range(n)]
+            [not leq(lat, i, j) for j in range(n)]
 
 
 def test_defining_recursion_rows(ico_lattice):
@@ -76,9 +82,9 @@ def test_defining_recursion_rows(ico_lattice):
     n = len(lat.nodes)
     for i in range(n):
         for j in range(n):
-            if i != j and lat.leq[i][j]:
+            if i != j and leq(lat, i, j):
                 total = sum(lat.mobius[i][k] for k in range(n)
-                            if lat.leq[i][k] and lat.leq[k][j])
+                            if leq(lat, i, k) and leq(lat, k, j))
                 assert total == 0
 
 
@@ -87,9 +93,9 @@ def test_dual_recursion_columns(klein_lattice, ico_lattice):
         n = len(lat.nodes)
         for i in range(n):
             for j in range(n):
-                if i != j and lat.leq[i][j]:
+                if i != j and leq(lat, i, j):
                     total = sum(lat.mobius[k][j] for k in range(n)
-                                if lat.leq[i][k] and lat.leq[k][j])
+                                if leq(lat, i, k) and leq(lat, k, j))
                     assert total == 0
 
 
@@ -124,12 +130,12 @@ def test_icosahedral_mobius_top_column(ico_lattice):
 
 
 def test_hasse_edge_counts(ico_lattice):
-    # containment numbers between subgroup classes of A5, read off lat.leq
+    # containment numbers between subgroup classes of A5, tested directly
     lat = ico_lattice
     n = len(lat.nodes)
 
     def below_per_above(low, high):
-        return {sum(lat.leq[i][j] for i in range(n) if lat.nodes[i].order == low)
+        return {sum(leq(lat, i, j) for i in range(n) if lat.nodes[i].order == low)
                 for j in range(n) if lat.nodes[j].order == high}
 
     assert below_per_above(3, 12) == {4}
@@ -138,7 +144,7 @@ def test_hasse_edge_counts(ico_lattice):
     assert below_per_above(5, 10) == {1}
     assert below_per_above(2, 10) == {5}
     assert lat.nodes[0].order == 1
-    assert sum(lat.leq[0][j] for j in range(n) if lat.nodes[j].order == 2) == 15
+    assert sum(leq(lat, 0, j) for j in range(n) if lat.nodes[j].order == 2) == 15
 
 
 def test_trivial_lattice():

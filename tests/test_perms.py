@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from capsid.perms import (Permutation, builtin_group, close_generators,
+from capsid.perms import (PermGroup, Permutation, builtin_group, close_generators,
                           group_from_text, parse_permutation,
                           replicated_action, trivial_group)
 from oracles import (brute_subgroups, closure_by_products, compose,
@@ -99,6 +99,10 @@ def test_orbits(klein):
     assert trivial_group(3).orbits() == [(1,), (2,), (3,)]
     g = close_generators([parse_permutation("(1 2)(3 4)(5 6)", 6)], 6)
     assert g.orbits() == [(1, 2), (3, 4), (5, 6)]
+    # orbits come from the element set, not from the generators a group keeps
+    bare = PermGroup(4, [], klein.elements)
+    assert bare.orbits() == [(1, 2, 3, 4)]
+    assert bare.is_simple_action()
 
 
 def test_is_simple_action(klein, s3, s3_regular):
@@ -120,7 +124,7 @@ def test_point_orbit_stabilizer_identity(klein, s3, z6):
 
 
 def test_simple_action_iff_free_orbits(klein, z2_on_6, s3):
-    # census subgroups carry conjugated generators, which orbits() walks
+    # census subgroups: orbits() reads each subgroup's own element set
     for group in (klein, z2_on_6, trivial_group(4), *s3.all_subgroups()):
         free = all(g(x) != x for g in group.elements[1:]
                    for x in range(1, group.degree + 1))
@@ -220,7 +224,7 @@ def test_census_matches_the_brute_force_oracle(name):
     assert [images(sub) for sub in nodes] == sorted(
         (sub for cls in expected for sub in cls),
         key=lambda sub: (len(sub), sorted(sub)))
-    # orbits() walks the generators, so every subgroup must keep its own
+    # each subgroup keeps generators of its own, which close to it
     for sub in nodes:
         assert close_generators(sub.generators, group.degree) == sub
 
@@ -336,6 +340,12 @@ def test_replicated_action(klein):
     assert doubled.degree == 8 and doubled.order == 4
     assert doubled.is_simple_action()
     assert len(doubled.orbits()) == 2
+    # each element is the matching klein element's image tuple, shifted by
+    # 4 on each further copy
+    tripled = replicated_action(klein, 3)
+    assert [p.images for p in tripled.elements] == \
+        [tuple(c * 4 + x for c in range(3) for x in p.images)
+         for p in klein.elements]
 
 
 def test_builtin_groups():
@@ -345,8 +355,11 @@ def test_builtin_groups():
     assert builtin_group("icosahedral").order == 60
     with pytest.raises(ValueError):
         builtin_group("dihedral:4")
-    with pytest.raises(ValueError):
-        builtin_group("cyclic:x")
+    # sizes are decimal digits only, as in group files and tree text
+    for name in ("cyclic:x", "cyclic:1_0", "cyclic:+3", "cyclic: 3",
+                 "trivial:1_0", "cyclic:" + "1" * 5000):
+        with pytest.raises(ValueError, match="malformed builtin group name"):
+            builtin_group(name)
 
 
 def test_group_from_text(klein):

@@ -53,10 +53,10 @@ def test_locate_image_is_the_isomorphic_image_at_every_vertex():
         g = random_permutation(rng, n)
         subtree = {v.labels: v for v in vertices(tau)}
         probe = pointer_view(tau, g)
+        label = {u: x for x, u in probe.leaves.items()}
         vertex = {}
         for v in range(len(probe.parent)):
-            leaves = {probe.leaf_label[u]
-                      for u in range(probe.first[v], v + 1)} - {None}
+            leaves = {label[u] for u in range(probe.first[v], v + 1) if u in label}
             vertex[frozenset(leaves)] = v
         assert vertex.keys() == subtree.keys()
         for labels, v in vertex.items():
@@ -275,8 +275,8 @@ def test_reaimed_view_matches_a_fresh_view():
 
 
 def _recursive_postorder(tau):
-    """children, parent, first, leaf_label, leaves and root of tau's
-    vertices numbered in postorder by plain recursion."""
+    """children, parent, first, leaves and root of tau's vertices numbered
+    in postorder by plain recursion."""
     children, parent, first, leaf_label = [], [], [], []
 
     def number(v):
@@ -292,7 +292,7 @@ def _recursive_postorder(tau):
 
     root = number(tau)
     leaves = {x: u for u, x in enumerate(leaf_label) if x is not None}
-    return children, parent, first, leaf_label, leaves, root
+    return children, parent, first, leaves, root
 
 
 def test_pointer_view_matches_a_recursive_numbering():
@@ -301,8 +301,8 @@ def test_pointer_view_matches_a_recursive_numbering():
     trees += [random_tree(rng, range(1, 61)) for _ in range(20)]
     for tau in trees:
         view = pointer_view(tau, Permutation.identity(tau.size))
-        assert (view.children, view.parent, view.first, view.leaf_label,
-                view.leaves, view.root) == _recursive_postorder(tau)
+        assert (view.children, view.parent, view.first, view.leaves,
+                view.root) == _recursive_postorder(tau)
 
 
 def test_reaimed_view_checks_the_degree():

@@ -277,8 +277,7 @@ def test_pointer_view_structure():
     g = parse_permutation("(1 2)(3 4)", 4)
     view = pointer_view(tau, g)
     # postorder: the cherry's leaves, the cherry, the other leaves, the root;
-    # labels are not stored except at the leaves
-    assert view.leaf_label == [1, 2, None, 3, 4, None]
+    # labels are not stored except in the leaf map
     assert view.children == [[], [], [0, 1], [], [], [2, 3, 4]]
     assert view.parent == [2, 2, 5, 5, 5, None]
     assert view.first == [0, 1, 0, 3, 4, 0]
