@@ -199,10 +199,10 @@ def _cmd_enumerate_trees(args, max_order) -> int:
     if args.n is not None:
         labels = range(1, args.n + 1)
     else:
-        try:
-            labels = [int(x) for x in args.labels.split(",")]
-        except ValueError:
-            raise ValueError(f"malformed label list {args.labels!r}") from None
+        words = args.labels.split(",")
+        if not all(map(str.isdecimal, words)):
+            raise ValueError(f"malformed label list {args.labels!r}")
+        labels = list(map(int, words))
         if len(set(labels)) < len(labels):
             raise ValueError(f"repeated label in label list {args.labels!r}")
     stream = enumerate_all_trees(labels)

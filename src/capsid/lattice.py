@@ -2,11 +2,11 @@
 
 The Moebius values are computed from the defining recursion over intervals,
 never transcribed from anywhere, and can be exported as CSV for inspection.
+Each node keeps one row: the interval above it, with its Moebius values;
+incomparable pairs are stored nowhere.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .perms import PermGroup, SubgroupClass
 
@@ -16,12 +16,11 @@ class SubgroupLattice:
 
     ``nodes`` is canonically ordered by (order, element set), so the group
     itself is last; ``node_class[i]`` is the index in ``classes`` of
-    nodes[i]'s conjugacy class; ``mobius[i][j]`` is mu(nodes[i], nodes[j])
-    and None exactly where nodes[i] <= nodes[j] fails, so the matrix also
-    holds the order: a row's non-None entries mark the interval above its
-    node and a column's the nodes below its node.  Readers take a whole
-    row or column: ``index_of`` finds a subgroup's index, and ``class_of``
-    its class.
+    nodes[i]'s conjugacy class; ``mobius[i]`` is the interval above
+    nodes[i], a dict from each j with nodes[i] <= nodes[j] to
+    mu(nodes[i], nodes[j]), so the rows also hold the order.  Readers take
+    a whole row or test membership in one: ``index_of`` finds a subgroup's
+    index, and ``class_of`` its class.
     """
 
     def __init__(self, nodes: list[PermGroup], classes: list[SubgroupClass]):
@@ -34,18 +33,16 @@ class SubgroupLattice:
                 node_class[self.index_of(member)] = ci
         self.node_class = tuple(node_class)
         n = len(self.nodes)
-        self.mobius = mobius = [None] * n
+        self.mobius = mobius = [{}] * n   # each row is replaced below
         # only j > i can lie above i (nodes are sorted by order), and rows
         # are filled from the last up, so "k <= j" reads off finished row k
         for i in reversed(range(n)):
-            row: list[Optional[int]] = [None] * n
-            row[i], above = 1, []   # above: the k > i with nodes[i] <= nodes[k]
+            mobius[i] = row = {i: 1}
             for j in range(i + 1, n):
                 if nodes[i].is_subgroup_of(nodes[j]):
-                    row[j] = -1 - sum(row[k] for k in above
-                                      if mobius[k][j] is not None)
-                    above.append(j)
-            mobius[i] = row
+                    # the -1 is mu(i, i); j is not yet in row i itself
+                    row[j] = -1 - sum(mu for k, mu in row.items()
+                                      if j in mobius[k])
 
     def index_of(self, sub: PermGroup) -> int:
         try:
@@ -62,7 +59,8 @@ class SubgroupLattice:
         labels = [f"H{i}(o{sub.order})" for i, sub in enumerate(self.nodes)]
         lines = ["subgroup," + ",".join(labels)]
         for i, label in enumerate(labels):
-            cells = ["" if v is None else str(v) for v in self.mobius[i]]
+            row = self.mobius[i]
+            cells = [str(row.get(j, "")) for j in range(len(labels))]
             lines.append(label + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 

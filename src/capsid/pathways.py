@@ -50,12 +50,11 @@ def tbar(group: PermGroup, sub: PermGroup, t: dict[PermGroup, int],
          lat: SubgroupLattice) -> int:
     """Moebius inversion at one subgroup: the number of trees fixed by sub
     and by nothing larger, the sum of mu(sub, K) * t(K) over sub's row of
-    ``lat.mobius``, whose non-None entries are the supergroups K of sub in
-    ``lat``, the lattice of ``group``.  ``group`` itself is not read; it
-    stays first because callers, the benchmark among them, pass it by
-    position."""
+    ``lat.mobius``, whose keys are the supergroups K of sub in ``lat``, the
+    lattice of ``group``.  ``group`` itself is not read; it stays first
+    because callers, the benchmark among them, pass it by position."""
     row = lat.mobius[lat.index_of(sub)]
-    value = sum(mu * t[k] for k, mu in zip(lat.nodes, row) if mu is not None)
+    value = sum(mu * t[lat.nodes[k]] for k, mu in row.items())
     if value < 0:
         raise ArithmeticError(
             f"negative inverted count {value} for a subgroup of order {sub.order}; "

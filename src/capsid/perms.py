@@ -12,7 +12,7 @@ representatives) runs on element indices through a multiplication table
 that looks each product up by its images on a base, points that tell the
 elements apart (one point for a simple action), so no ``Permutation`` and
 no whole image tuple is built.  The census extends one subgroup per
-conjugacy class and files all its conjugates at once.
+conjugacy class and files all its conjugates at once, as element sets.
 """
 
 from __future__ import annotations
@@ -137,7 +137,10 @@ class PermGroup:
     deterministic coset representatives, regular actions, and output.
 
     Instances are immutable after construction; the private attributes only
-    cache derived data.  Use :func:`close_generators` to build one.
+    cache derived data.  Use :func:`close_generators` to build one.  Every
+    group is generated by its ``generators``: a subgroup the package derives
+    (census nodes, normalizers, stabilizer groups) takes its own sorted
+    elements as its generators.
     """
 
     __slots__ = ("degree", "generators", "elements", "_eset", "_index",
@@ -224,11 +227,11 @@ class PermGroup:
         idx = self._elem_index()
         return frozenset(idx[p.images] for p in sub.elements)
 
-    def _subgroup_from_indices(self, indices: Iterable[int],
-                               gen_indices: Iterable[int]) -> "PermGroup":
-        els = [self.elements[i] for i in indices]
-        gens = [self.elements[i] for i in gen_indices]
-        return PermGroup(self.degree, gens, els)
+    def _subgroup_from_indices(self, indices: Iterable[int]) -> "PermGroup":
+        """The subgroup with these element indices, generated by its
+        elements in sorted order."""
+        els = [self.elements[i] for i in sorted(indices)]
+        return PermGroup(self.degree, els, els)
 
     # -- orbits and action properties --------------------------------------
 
@@ -276,16 +279,12 @@ class PermGroup:
     def _compute_subgroups(self) -> None:
         table = self._mul_table()
         inv = self._inv_vector()
-        known: dict[frozenset, tuple[int, ...]] = {}  # subgroup -> generators
-        classes: list[dict] = []  # conjugacy classes, as parts of known
+        known: set[frozenset] = set()  # every subgroup filed so far
+        classes: list[set] = []  # conjugacy classes, as parts of known
 
-        def file_class(fs: frozenset, gens: tuple[int, ...]) -> None:
-            conjugates = {}
-            for g in range(self.order):
-                row, g_inv = table[g], inv[g]
-                c = frozenset(table[row[s]][g_inv] for s in fs)
-                if c not in conjugates:
-                    conjugates[c] = tuple(table[row[s]][g_inv] for s in gens)
+        def file_class(fs: frozenset) -> None:
+            conjugates = {frozenset(table[row[s]][g_inv] for s in fs)
+                          for row, g_inv in zip(table, inv)}
             known.update(conjugates)
             classes.append(conjugates)
 
@@ -293,7 +292,7 @@ class PermGroup:
         trivial = frozenset([0])
         for i in range(self.order):
             cyclics.setdefault(_join_indices(table, trivial, (i,)), (i,))
-        file_class(trivial, (0,))
+        file_class(trivial)
         worklist = [(trivial, ())]  # its joins file the cyclic classes
         while worklist:
             grown = []
@@ -304,15 +303,14 @@ class PermGroup:
                     join_gens = tuple(dict.fromkeys(gens_a + gens_c))
                     fs_j = _join_indices(table, fs_a, join_gens)
                     if fs_j not in known:
-                        file_class(fs_j, join_gens)
+                        file_class(fs_j)
                         grown.append((fs_j, join_gens))
             worklist = grown
         # element indices follow the image order, so (order, sorted indices)
         # is the canonical (order, element images) order
         nodes = sorted(known, key=lambda fs: (len(fs), sorted(fs)))
         rank = {fs: i for i, fs in enumerate(nodes)}
-        subs = self._subgroups = tuple(
-            self._subgroup_from_indices(fs, known[fs]) for fs in nodes)
+        subs = self._subgroups = tuple(map(self._subgroup_from_indices, nodes))
         self._classes = tuple(
             SubgroupClass(subs[ranks[0]], tuple(subs[r] for r in ranks))
             for ranks in sorted(sorted(map(rank.get, cls)) for cls in classes))
@@ -332,7 +330,7 @@ class PermGroup:
         inv = self._inv_vector()
         keep = [g for g in range(self.order)
                 if frozenset(table[table[g][s]][inv[g]] for s in fs) == fs]
-        return self._subgroup_from_indices(keep, keep)
+        return self._subgroup_from_indices(keep)
 
     def left_coset_representatives(self, sub: "PermGroup") -> list[Permutation]:
         """One representative per left coset of ``sub``, each the

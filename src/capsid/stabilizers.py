@@ -163,4 +163,4 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
                 _close_images(closure, gens[1:])  # gens[0] is the identity
     index = group._elem_index()
     return StabilizerResult(tuple(gens), group._subgroup_from_indices(
-        [index[a] for a in closure], [index[g.images] for g in gens]))
+        index[a] for a in closure))

@@ -70,6 +70,12 @@ def test_enumerate_trees_argument_validation(capsys):
     assert code == 1 and "exactly one" in err
     code, _, err = run_cli(capsys, "enumerate-trees", "--labels", "1,a")
     assert code == 1 and "malformed label list" in err
+    # labels are decimal digits only, as everywhere else: no sign, no
+    # underscore, no surrounding space
+    for labels in ("+1,1_0", " 1,2", "1, 2,3 "):
+        code, out, err = run_cli(capsys, "enumerate-trees", "--labels", labels)
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed label list {labels!r}\n"
     code, out, err = run_cli(capsys, "enumerate-trees", "--labels", "1,1,2")
     assert (code, out) == (1, "")
     assert err == "error: repeated label in label list '1,1,2'\n"

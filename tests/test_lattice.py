@@ -18,7 +18,8 @@ def ico_lattice(ico):
 
 
 def mu(lat, below, above):
-    """mu(below, above), read off ``below``'s row of ``lat.mobius``."""
+    """mu(below, above): the entry at ``above``'s index in ``below``'s row
+    of ``lat.mobius``, which holds only the interval above ``below``."""
     return lat.mobius[lat.index_of(below)][lat.index_of(above)]
 
 
@@ -63,17 +64,17 @@ def test_interval_above_rejects_foreign_subgroup(klein, klein_lattice, s3):
 
 
 @pytest.mark.parametrize("group", ["klein", "ico", "s3_regular", "s3"])
-def test_mobius_is_none_exactly_off_the_order(group, request):
-    # tbar reads a whole mobius row and class_tree_counts a column: the
-    # non-None entries must be exactly the contained pairs, below the
-    # diagonal too, where the lattice tests none, with mu 1 on the diagonal;
-    # natural s3 is not a simple action, and the lattice takes it all the same
+def test_mobius_rows_are_the_intervals_above(group, request):
+    # tbar sums a whole mobius row and class_tree_counts tests membership in
+    # rows: the keys of row i must be exactly the j with nodes[i] <= nodes[j],
+    # none below the diagonal, where the lattice tests no pair, with mu 1 on
+    # the diagonal; natural s3 is not a simple action, and the lattice takes
+    # it all the same
     lat = build_lattice(request.getfixturevalue(group))
     n = len(lat.nodes)
     for i in range(n):
         assert lat.mobius[i][i] == 1
-        assert [lat.mobius[i][j] is None for j in range(n)] == \
-            [not leq(lat, i, j) for j in range(n)]
+        assert set(lat.mobius[i]) == {j for j in range(n) if leq(lat, i, j)}
 
 
 def test_defining_recursion_rows(ico_lattice):

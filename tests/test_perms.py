@@ -224,9 +224,13 @@ def test_census_matches_the_brute_force_oracle(name):
     assert [images(sub) for sub in nodes] == sorted(
         (sub for cls in expected for sub in cls),
         key=lambda sub: (len(sub), sorted(sub)))
-    # each subgroup keeps generators of its own, which close to it
+    # each subgroup and each normalizer keeps generators of its own, which
+    # close to it
     for sub in nodes:
         assert close_generators(sub.generators, group.degree) == sub
+    for cls in classes:
+        norm = group.normalizer(cls.representative)
+        assert close_generators(norm.generators, group.degree) == norm
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_GROUPS))

@@ -155,6 +155,9 @@ def test_stabilizer_output_is_subgroup(klein, s3_regular):
         for gen in result.generators:
             assert gen.images in images
             assert fixes(gen, tau)
+        # the result group, like every subgroup the package derives, keeps
+        # generators of its own that close to it
+        assert close_generators(group.generators, group.degree) == group
 
 
 def test_stabilizer_matches_brute_force(klein, k1, z2_on_6, z6, s3_regular):
