@@ -20,9 +20,10 @@ Uniqueness is enforced by (a) drawing subgroups from conjugacy-class
 representatives only and (b) keeping one seed union per orbit of the
 normalizer.  In a simple action the setwise stabilizer of a seed is exactly
 its subgroup, so each block system comes from one recipe, apart from the
-single block, which no recipe gives.  The tree generator keeps a final
-set-level deduplication as belt and braces, and the diagnostics report says
-whether it was ever needed.
+single block, which no recipe gives.  The tree stream is not deduplicated,
+so a fault in these filters shows as a count that disagrees with the
+generating-function count; the diagnostics report counts the distinct trees
+against the trees produced.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ class FixedTreeRecipe(NamedTuple):
 
 
 class FixedTreeDiagnostics(NamedTuple):
-    """Outcome of a full generation run."""
+    """Outcome of a full generation run: trees produced, and distinct trees
+    among them."""
     produced: int
     distinct: int
 
@@ -136,7 +138,7 @@ def construction_recipes(group: PermGroup, points: Optional[frozenset] = None
 def _seed_is_canonical(seed: frozenset, normalizer_elements) -> bool:
     """Keep the lexicographically least seed union in its normalizer orbit."""
     key = tuple(sorted(seed))
-    return all(key <= tuple(sorted(n(x) for x in seed))
+    return all(key <= tuple(sorted([n.images[x - 1] for x in seed]))
                for n in normalizer_elements)
 
 
@@ -192,8 +194,10 @@ def generate_fixed_trees(group: PermGroup,
     than LISTING_BOUND trees is refused after the first tree is built, so
     the enumeration bounds, which refuse while it is built, speak first.
 
-    Pass a list as ``diagnostics`` to receive a :class:`FixedTreeDiagnostics`
-    appended after the stream is exhausted.
+    The stream is not deduplicated.  Pass a list as ``diagnostics`` to
+    receive a :class:`FixedTreeDiagnostics` appended after the stream is
+    exhausted: the trees produced, and how many of them are distinct, which
+    takes a set of every tree; the plain stream keeps and hashes none.
     """
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
@@ -206,15 +210,16 @@ def generate_fixed_trees(group: PermGroup,
     if count > LISTING_BOUND:
         raise ValueError(f"fixed-tree count {count} exceeds the listing "
                          f"bound {LISTING_BOUND}")
-    produced = 0
-    seen: set[AssemblyTree] = set()
-    for tree in itertools.chain((first,), trees):
+    yield first
+    if diagnostics is None:
+        yield from trees
+        return
+    produced, seen = 1, {first}
+    for tree in trees:
         produced += 1
-        if tree not in seen:
-            seen.add(tree)
-            yield tree
-    if diagnostics is not None:
-        diagnostics.append(FixedTreeDiagnostics(produced, len(seen)))
+        seen.add(tree)
+        yield tree
+    diagnostics.append(FixedTreeDiagnostics(produced, len(seen)))
 
 
 def count_fixed_trees_direct(group: PermGroup) -> int:

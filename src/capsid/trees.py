@@ -2,11 +2,12 @@
 set of positive integers, every internal vertex having at least two children.
 
 The paper identifies each vertex with the set of its descendant leaf labels.
-A tree here stores no such set: each vertex keeps its children, its least
-leaf label, its leaf count and a hash taken from its children, so a tree
-costs memory linear in its leaves.  Children are kept sorted by least leaf
-label, so two trees are equal exactly when they are structurally identical,
-and the serialized text is a canonical form.
+A tree here stores no such set: each vertex keeps its children and its
+least leaf label, and nothing else is computed while a tree is built, so a
+tree costs memory linear in its leaves.  The hash is taken on first request
+and kept in the vertex; the leaf count is ``len(tau.labels)``.  Children are
+kept sorted by least leaf label, so two trees are equal exactly when they
+are structurally identical, and the serialized text is a canonical form.
 
 Leaf labels are checked to be distinct where input enters, once per tree
 or per construction level, not at every vertex: ``parse_tree`` keeps one
@@ -30,7 +31,6 @@ rest of the package is tested against.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import operator
 import re
@@ -45,25 +45,25 @@ class AssemblyTree:
     """An immutable, canonicalized assembly tree.
 
     ``children`` is the canonically ordered tuple of subtrees, empty for a
-    leaf; ``min_label`` is the least leaf label below the vertex and
-    ``size`` the number of leaves.  The vertex label, the set of descendant
+    leaf, and ``min_label`` is the least leaf label below the vertex; a
+    vertex stores nothing else.  The vertex label, the set of descendant
     leaf labels, is ``labels``, which walks the subtree each time it is read.
+    The hash is taken on first request and kept, see ``__hash__``.
     """
 
-    __slots__ = ("children", "min_label", "size", "_hash")
+    __slots__ = ("children", "min_label", "_hash")
 
-    def __init__(self, children: tuple, min_label: int, size: int, _hash: int):
+    def __init__(self, children: tuple, min_label: int):
         # internal: build trees with AssemblyTree.leaf and parse_tree
         self.children = children
         self.min_label = min_label
-        self.size = size
-        self._hash = _hash
+        self._hash = None
 
     @classmethod
     def leaf(cls, label: int) -> "AssemblyTree":
         if label < 1:
             raise ValueError(f"leaf labels must be positive integers, got {label}")
-        return cls((), label, 1, hash(label))
+        return cls((), label)
 
     @property
     def labels(self) -> frozenset:
@@ -85,13 +85,25 @@ class AssemblyTree:
             a, b = pairs.pop()
             if a is b:
                 continue
-            if (a._hash != b._hash or a.min_label != b.min_label
+            if (a.min_label != b.min_label
                     or len(a.children) != len(b.children)):
                 return False
             pairs.extend(zip(a.children, b.children))
         return True
 
     def __hash__(self) -> int:
+        """A leaf hashes its label and a vertex its children.  The vertices
+        below without a hash yet are listed parents first, then hashed and
+        kept children first, so no call recurses and a subtree that trees
+        share is hashed once."""
+        if self._hash is None:
+            order = [self]
+            for v in order:  # the loop also reads what it appends
+                if v._hash is None:
+                    order += v.children
+            for v in reversed(order):
+                if v._hash is None:
+                    v._hash = hash(v.children) if v.children else hash(v.min_label)
         return self._hash
 
     def __repr__(self) -> str:
@@ -126,10 +138,7 @@ def _node(children) -> AssemblyTree:
     """The vertex over two or more children whose leaf sets the caller
     knows to be disjoint; nothing is checked."""
     children = tuple(sorted(children, key=_by_min_label))
-    size = 0
-    for child in children:
-        size += child.size
-    return AssemblyTree(children, children[0].min_label, size, hash(children))
+    return AssemblyTree(children, children[0].min_label)
 
 
 _TOKEN = re.compile(r"[(),]|[^(),]+")
@@ -273,7 +282,6 @@ def _trees(labels: tuple, memo: dict) -> Iterable[AssemblyTree]:
 
 
 def _trees_uncached(labels: tuple, memo: dict) -> Iterator[AssemblyTree]:
-    least, size = labels[0], len(labels)
     for blocks in set_partitions(labels, min_parts=2):
         # every tree below is built unchecked from one block per child
         if sorted(itertools.chain.from_iterable(blocks)) != list(labels):
@@ -285,8 +293,9 @@ def _trees_uncached(labels: tuple, memo: dict) -> Iterator[AssemblyTree]:
             continue
         # blocks come ordered by least label, so each choice of one tree per
         # block is already in canonical child order
-        for kids in itertools.product(*[_trees(b, memo) for b in blocks]):
-            yield AssemblyTree(kids, least, size, hash(kids))
+        yield from map(AssemblyTree,
+                       itertools.product(*[_trees(b, memo) for b in blocks]),
+                       itertools.repeat(labels[0]))
 
 
 def _combine(blocks, i, acc, memo) -> Iterator[AssemblyTree]:
@@ -334,13 +343,14 @@ class TreePointerView:
     the subtree at v is the range ``first[v]..v``; ``children[v]`` and
     ``parent[v]`` (None at the root) are the child and parent pointers;
     labels are kept once, in ``leaves``, which maps each leaf label to its
-    vertex.  The aim, each view's own: the g-pointer ``g_target[v]`` of a
-    leaf labeled u is the leaf labeled g(u), or None when g(u) is not a
-    leaf (and at every internal vertex), and each pointer has a traversal
-    counter: ``child_count[c]`` for the pointer from c's parent to c,
-    ``parent_count[c]`` for c's parent pointer and ``g_count[v]`` for a
-    leaf's g-pointer.  The counters make a view single-use and
-    single-threaded; take a fresh view, built or re-aimed, for each run.
+    vertex, and ``max_label`` is the largest of them.  The aim, each view's
+    own: the g-pointer ``g_target[v]`` of a leaf labeled u is the leaf
+    labeled g(u), or None when g(u) is not a leaf (and at every internal
+    vertex), and each pointer has a traversal counter: ``child_count[c]``
+    for the pointer from c's parent to c, ``parent_count[c]`` for c's parent
+    pointer and ``g_count[v]`` for a leaf's g-pointer.  The counters make a
+    view single-use and single-threaded; take a fresh view, built or
+    re-aimed, for each run.
     """
 
     def __init__(self, tau: AssemblyTree, g: Permutation):
@@ -352,29 +362,35 @@ class TreePointerView:
             stack.extend(node.children)
         nodes.reverse()  # postorder: each subtree in order, then its root
         n = len(nodes)
-        parent, first, children = [None] * n, list(range(n)), []
+        parent, first, children, leaves = [None] * n, list(range(n)), [], {}
         done = []  # the finished subtrees still without a parent, in order
         for v, node in enumerate(nodes):
             k = len(node.children)  # its children are the last k subtrees done
-            kids = done[-k:] if k else []
             if k:
+                kids = done[-k:]
                 del done[-k:]
                 for c in kids:
                     parent[c] = v
                 first[v] = first[kids[0]]
+            else:
+                kids = []
+                leaves[node.min_label] = v
             children.append(kids)
             done.append(v)
         self.root, self.children, self.parent, self.first = n - 1, children, parent, first
-        self.leaves = {node.min_label: v for v, node in enumerate(nodes)
-                       if not node.children}
+        self.leaves, self.max_label = leaves, max(leaves)
         self._aim(g)
 
     def with_permutation(self, g: Permutation) -> "TreePointerView":
         """A fresh view of the same tree under g; this view is untouched."""
-        return copy.copy(self)._aim(g)
+        view = object.__new__(TreePointerView)
+        view.root, view.children, view.parent, view.first = (
+            self.root, self.children, self.parent, self.first)
+        view.leaves, view.max_label = self.leaves, self.max_label
+        return view._aim(g)
 
     def _aim(self, g: Permutation) -> "TreePointerView":
-        if g.degree < max(self.leaves):
+        if g.degree < self.max_label:
             raise ValueError("permutation degree does not cover the leaf labels")
         images, leaves, n = g.images, self.leaves, len(self.parent)
         g_target = [None] * n

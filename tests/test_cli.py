@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import pkgutil
@@ -13,6 +14,7 @@ import pytest
 
 import capsid
 from capsid.cli import load_group, main
+from capsid.perms import builtin_group, replicated_action
 
 from oracles import tree_counts_by_recurrence
 
@@ -351,6 +353,36 @@ def test_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "mobius", "--group", "icosahedral")
     _, second, _ = run_cli(capsys, "mobius", "--group", "icosahedral")
     assert first == second
+
+
+# sha256 of the stdout of each listing the tree-building commands print;
+# taken from the code these pins were written against, so any change to a
+# listing's trees, text or order fails here
+LISTING_DIGESTS = [
+    (("fixed-trees", "--group", "klein4"), 3,
+     "94d0644a5c49bdc59ab22c9ec3015f6a3e9acff90a5e45b25b7037b6f1b74015"),
+    (("fixed-trees", "--group", "cyclic:6"), 3,
+     "e3f189cb771d4128e57c02f8206e5aa0f4d44a153f4631b1a5593517f8b3c165"),
+    (("fixed-trees", "--group", "icosahedral"), 1,
+     "1db057abfa083fbc570d58031ef36946a97449d29dd8182cce898927dbeddf89"),
+    (("enumerate-trees", "--n", "7"), 1,
+     "51aa907809b6f22344ee1848b059a25ed8989fbc83beddfea9755da8e8b5b111"),
+]
+
+
+@pytest.mark.parametrize("argv, copies, digest", LISTING_DIGESTS)
+def test_tree_listings_are_pinned(capsys, tmp_path, argv, copies, digest):
+    argv = list(argv)
+    if copies > 1:
+        # the group acting on disjoint copies of its points, as a group file
+        group = replicated_action(builtin_group(argv[-1]), copies)
+        path = tmp_path / "replicated.group"
+        path.write_text(f"degree {group.degree}\n" + "".join(
+            g.cycle_string() + "\n" for g in group.generators))
+        argv[-1] = str(path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_load_group_from_file(tmp_path, klein):

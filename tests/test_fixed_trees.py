@@ -150,6 +150,9 @@ def test_uniqueness_filters_suffice(klein, k1, z2_on_6, s3_regular, z6, klein_on
         for _ in generate_fixed_trees(group, diagnostics=out):
             pass
         assert out[0].produced == out[0].distinct, out[0]
+        # the plain stream is not deduplicated, so it must be free of repeats
+        stream = list(generate_fixed_trees(group))
+        assert len(stream) == len(set(stream)) == out[0].produced
 
 
 @pytest.mark.parametrize("name, count", [("klein4", 4896), ("cyclic:6", 3440)])
@@ -180,8 +183,8 @@ def test_each_level_is_built_once_per_run(name, count, monkeypatch):
 @pytest.mark.parametrize("name, count", [("klein4", 4896), ("cyclic:6", 3440)])
 def test_benchmark_listings_are_fixed_and_round_trip(name, count):
     # the trees of one run share one leaf object per point; within a tree
-    # every vertex is a distinct object, as the pointer view's numbering
-    # by id() requires
+    # every vertex is a distinct object, since sibling leaf sets are
+    # disjoint (the pointer view numbers vertices from a stack, not by id())
     group = replicated_action(builtin_group(name), 3)
     trees = list(generate_fixed_trees(group))
     assert len(trees) == len(set(trees)) == count

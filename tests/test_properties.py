@@ -62,6 +62,7 @@ def test_text_form_round_trips(case):
     _, tau = case
     text = tau.to_text()
     assert parse_tree(text) == tau
+    assert hash(parse_tree(text)) == hash(tau)
     assert parse_tree(text).to_text() == text
 
 
@@ -70,7 +71,7 @@ def test_text_form_round_trips(case):
 def test_stored_fields_match_the_label_set(case):
     _, tau = case
     labels = tau.labels
-    assert tau.size == len(labels)
+    assert len(labels) == sum(1 for v in vertices(tau) if not v.children)
     assert tau.min_label == min(labels)
     assert labels == {v.min_label for v in vertices(parse_tree(tau.to_text()))
                       if not v.children}

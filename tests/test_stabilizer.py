@@ -303,7 +303,7 @@ def test_pointer_view_matches_a_recursive_numbering():
     trees = [tau for n in range(1, 7) for tau in enumerate_all_trees(range(1, n + 1))]
     trees += [random_tree(rng, range(1, 61)) for _ in range(20)]
     for tau in trees:
-        view = pointer_view(tau, Permutation.identity(tau.size))
+        view = pointer_view(tau, Permutation.identity(len(tau.labels)))
         assert (view.children, view.parent, view.first, view.leaves,
                 view.root) == _recursive_postorder(tau)
 

@@ -137,8 +137,8 @@ def test_canonical_equality():
 
 
 def test_hundred_thousand_leaf_caterpillar():
-    # trees store no label sets and no tree path recurses, so a caterpillar
-    # this deep costs memory linear in its leaves
+    # trees store no label sets and no tree path recurses, hashing
+    # included, so a caterpillar this deep costs memory linear in its leaves
     n = 100_000
     text = "".join(f"({leaf}," for leaf in range(1, n)) + str(n) + ")" * (n - 1)
     tracemalloc.start()
@@ -149,7 +149,10 @@ def test_hundred_thousand_leaf_caterpillar():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tau.size == n and tau.labels == frozenset(range(1, n + 1))
+    assert len(tau.labels) == n and tau.labels == frozenset(range(1, n + 1))
+    again = parse_tree(text)
+    assert hash(tau) == hash(again)
+    assert len({tau, again}) == 1
     assert peak < 200 * 2 ** 20
 
 
