@@ -11,6 +11,8 @@ the coset translates of that subtree as children of a new root.  Each
 (subgroup, seed) level is built once per generation run, however many
 parents it recurs under, and its translates once per parent group; both are
 shared by every recipe and tree that uses them, and the top level streams.
+The normalizers of a group's class representatives, which the uniqueness
+filter reads, are likewise computed once per run for each group.
 A run makes one leaf per point, and the trees share those leaves: each
 coset representative of a level but the identity gets one table from labels
 to the leaves of their images, through which every subtree of the level is
@@ -108,13 +110,24 @@ def construction_recipes(group: PermGroup, points: Optional[frozenset] = None
     bound are refused."""
     if points is None:
         points = frozenset(range(1, group.degree + 1))
+    return _recipes(group, points, {})
+
+
+def _recipes(group: PermGroup, points: frozenset, normalizers: dict
+             ) -> Iterator[FixedTreeRecipe]:
+    """``construction_recipes`` on ``points``.  ``normalizers`` maps each
+    group to the normalizer elements of its class representatives; a
+    generation run shares one such map over all its levels, and a group's
+    entry is built the first time one of its levels is read."""
     orbs = tuple(group.orbits_within(points))
     if len(orbs) > ENUMERATION_SIZE_BOUND:
         raise ValueError(f"orbit count {len(orbs)} exceeds the "
                          f"enumeration bound {ENUMERATION_SIZE_BOUND}")
     classes = group.conjugacy_classes_of_subgroups()
     reps = [c.representative for c in classes]
-    normalizer_cache = {rep: group.normalizer(rep).elements for rep in reps}
+    if group not in normalizers:
+        normalizers[group] = {rep: group.normalizer(rep).elements for rep in reps}
+    normalizer_of = normalizers[group]
     for parts in set_partitions(orbs):
         per_part = []
         for part in parts:
@@ -123,7 +136,7 @@ def construction_recipes(group: PermGroup, points: Optional[frozenset] = None
                 if len(parts) == 1 and rep.order == group.order:
                     continue
                 korbit_lists = [rep.orbits_within(orbit) for orbit in part]
-                normalizer = normalizer_cache[rep]
+                normalizer = normalizer_of[rep]
                 for combo in itertools.product(*korbit_lists):
                     seed = frozenset(itertools.chain.from_iterable(combo))
                     if _seed_is_canonical(seed, normalizer):
@@ -143,7 +156,8 @@ def _seed_is_canonical(seed: frozenset, normalizer_elements) -> bool:
 
 
 def _fixed_trees_on(group: PermGroup, points: frozenset, levels: dict,
-                    translates: dict, leaves: list) -> Iterator[AssemblyTree]:
+                    translates: dict, normalizers: dict, leaves: list
+                    ) -> Iterator[AssemblyTree]:
     """Every tree on ``points`` fixed by ``group``, built from the leaves
     ``leaves[x]`` and the trees the trivial group's enumeration makes.
 
@@ -154,7 +168,7 @@ def _fixed_trees_on(group: PermGroup, points: frozenset, levels: dict,
     and tree.  The first coset representative is the identity, so each
     tree is its own first translate.  The translates of one seed are
     checked disjoint once, when first built, so the vertices are built
-    unchecked."""
+    unchecked.  ``normalizers`` is the run's map for ``_recipes``."""
     if len(points) == 1:
         yield leaves[next(iter(points))]
         return
@@ -162,7 +176,7 @@ def _fixed_trees_on(group: PermGroup, points: frozenset, levels: dict,
         # the trivial group fixes everything
         yield from enumerate_all_trees(points)
         return
-    for recipe in construction_recipes(group, points):
+    for recipe in _recipes(group, points, normalizers):
         per_part = []
         for sub, seed in zip(recipe.subgroups, recipe.seeds):
             key = (group, sub, seed)
@@ -173,7 +187,8 @@ def _fixed_trees_on(group: PermGroup, points: frozenset, levels: dict,
                     raise RuntimeError("the coset translates of a seed overlap")
                 if (sub, seed) not in levels:
                     levels[sub, seed] = list(
-                        _fixed_trees_on(sub, seed, levels, translates, leaves))
+                        _fixed_trees_on(sub, seed, levels, translates,
+                                        normalizers, leaves))
                 # one leaf table per coset representative after the
                 # identity, shared by the translates of every subtree
                 tables = [[None, *map(leaves.__getitem__, rep.images)]
@@ -204,7 +219,7 @@ def generate_fixed_trees(group: PermGroup,
     points = frozenset(range(1, group.degree + 1))
     # one leaf object per point, shared by every tree of the run
     leaves = [None, *map(AssemblyTree.leaf, range(1, group.degree + 1))]
-    trees = _fixed_trees_on(group, points, {}, {}, leaves)
+    trees = _fixed_trees_on(group, points, {}, {}, {}, leaves)
     first = next(trees)
     count = fixed_tree_count(group, group.degree // group.order)
     if count > LISTING_BOUND:

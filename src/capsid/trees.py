@@ -18,7 +18,9 @@ unchecked: through ``_node``, which sorts the children, or, in the
 enumerator, as one choice of a tree per block of a root partition, whose
 blocks already come in canonical order.  Apart from the enumerator, whose
 depth the size bound caps, no function here recurses along a tree path, so
-trees of any depth work.
+trees of any depth work.  ``parse_tree`` hands well-formed text to the C
+JSON scanner, which nests only up to the interpreter's recursion limit;
+deeper text goes to the token loop, which keeps an explicit stack.
 Trees are immutable, so they may share subtrees and leaves: the
 enumerator's memoized blocks and the fixed-tree generator's one leaf per
 point are shared by every tree built from them.
@@ -143,6 +145,8 @@ def _node(children) -> AssemblyTree:
 
 _TOKEN = re.compile(r"[(),]|[^(),]+")
 _LEADING_DIGITS = re.compile(r"\d*")
+_NESTED_LISTS = re.compile(r"[0-9(),]+")
+_TO_BRACKETS = {40: 91, 41: 93}  # "(" -> "[", ")" -> "]"
 
 
 def parse_tree(text: str) -> AssemblyTree:
@@ -152,7 +156,62 @@ def parse_tree(text: str) -> AssemblyTree:
     distinct positive integers in decimal digits.  The first error met
     reading left to right is reported; a repeated label is met at its second
     copy.
+
+    Text of digits, parentheses and commas only is read as nested lists by
+    the C JSON scanner and built in one pass.  Every text that pass does
+    not take goes to the token loop, ``_parse_tokens``, which reads it or
+    reports its first error: text with any other character, a malformed or
+    repeated label, a vertex with fewer than two children or a label past
+    the int-conversion limit, and text nested deeper than the scanner's
+    recursion limit (about 1,000 levels).
     """
+    s = text.strip()
+    if _NESTED_LISTS.fullmatch(s):
+        tree = _parse_nested(s)
+        if tree is not None:
+            return tree
+    return _parse_tokens(s)
+
+
+def _parse_nested(s: str) -> AssemblyTree | None:
+    """The tree that ``s``, read as JSON with brackets for parentheses,
+    spells, or None wherever the token loop must decide."""
+    import json  # only commands that read tree text pay for the import
+    try:
+        value = json.loads(s.translate(_TO_BRACKETS))
+    except (ValueError, RecursionError):
+        return None
+    seen: set[int] = set()
+    done = []  # finished subtrees, in the order the walk leaves them
+    stack = [value]  # lists and labels to read, and -k for a k-child vertex
+    while stack:
+        v = stack.pop()
+        if v.__class__ is list:
+            if len(v) < 2:
+                return None
+            stack.append(-len(v))
+            stack += v
+        elif v == -2:  # a binary vertex, the common case: no sort
+            b = done.pop()
+            a = done[-1]
+            if b.min_label < a.min_label:
+                a, b = b, a
+            done[-1] = AssemblyTree((a, b), a.min_label)
+        elif v < 0:
+            children = done[v:]
+            del done[v:]
+            done.append(_node(children))
+        elif v < 1 or v in seen:
+            return None
+        else:
+            seen.add(v)
+            done.append(AssemblyTree((), v))
+    return done[0]
+
+
+def _parse_tokens(text: str) -> AssemblyTree:
+    """``parse_tree`` by one token per parenthesis, comma and label, with
+    the first error met reading left to right raised as a ValueError."""
     s = text.strip()
     if not s:
         raise ValueError("empty tree text")

@@ -183,6 +183,24 @@ def test_a_command_loads_only_the_modules_it_uses(argv, unused):
                              for name in _package_modules(loaded))
 
 
+@pytest.mark.parametrize("argv, loads_json", [
+    (["fixed-trees", "--group", "klein4"], False),
+    (["enumerate-trees", "--n", "4", "--count-only"], False),
+    (["icosa-report", "--T", "1"], False),
+    (["stabilizer", "--group", "klein4", "--tree", "((1,2),(3,4))"], True),
+])
+def test_only_commands_that_read_tree_text_load_json(argv, loads_json):
+    # parse_tree imports json when called, so commands that never parse
+    # tree text do not pay for the import
+    script = (f"import sys, capsid.cli\ncapsid.cli.main({argv!r})\n"
+              "print('json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_json)
+
+
 def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from capsid import *", namespace)

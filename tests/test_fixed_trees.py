@@ -1,10 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from capsid import fixed_trees
 from capsid.fixed_trees import (construction_recipes, count_fixed_trees_direct,
                                 enumerate_block_systems, generate_fixed_trees)
-from capsid.perms import (builtin_group, close_generators, parse_permutation,
-                          replicated_action, trivial_group)
+from capsid.perms import (PermGroup, builtin_group, close_generators,
+                          parse_permutation, replicated_action, trivial_group)
 from capsid.series import fixed_tree_count
 from capsid.stabilizers import fixes
 from capsid.trees import act, enumerate_all_trees, parse_tree
@@ -159,25 +161,35 @@ def test_uniqueness_filters_suffice(klein, k1, z2_on_6, s3_regular, z6, klein_on
 def test_each_level_is_built_once_per_run(name, count, monkeypatch):
     # the three copies share (subgroup, seed) levels across many recipes;
     # building each once keeps the recipe enumerations near the number of
-    # distinct levels, far below the number of recipes that use them
+    # distinct levels, far below the number of recipes that use them, and
+    # each group's normalizers are taken once per run, not once per level
     group = replicated_action(builtin_group(name), 3)
     calls = 0
-    recipes = fixed_trees.construction_recipes
+    normalized: Counter = Counter()
+    recipes, normalizer = fixed_trees._recipes, PermGroup.normalizer
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return recipes(*args)
 
-    monkeypatch.setattr(fixed_trees, "construction_recipes", counted)
+    def counted_normalizer(ambient, sub):
+        normalized[ambient, sub] += 1
+        return normalizer(ambient, sub)
+
+    monkeypatch.setattr(fixed_trees, "_recipes", counted)
+    monkeypatch.setattr(PermGroup, "normalizer", counted_normalizer)
     out: list = []
     assert sum(1 for _ in generate_fixed_trees(group, diagnostics=out)) \
         == count == fixed_tree_count(group, 3)
     assert out[0].produced == out[0].distinct, out[0]
-    assert calls <= 100
+    assert 0 < calls <= 100
+    assert max(normalized.values()) == 1
     calls = 0
+    normalized.clear()
     assert count_fixed_trees_direct(group) == count
-    assert calls <= 100
+    assert 0 < calls <= 100
+    assert max(normalized.values()) == 1
 
 
 @pytest.mark.parametrize("name, count", [("klein4", 4896), ("cyclic:6", 3440)])

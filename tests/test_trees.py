@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -7,10 +8,11 @@ import pytest
 from capsid.perms import Permutation, parse_permutation, trivial_group
 from capsid.series import fixed_tree_count
 from capsid.stabilizers import fixes
-from capsid.trees import (AssemblyTree, act, enumerate_all_trees, parse_tree,
-                          pointer_view, set_partitions)
+from capsid.trees import (AssemblyTree, _parse_nested, _parse_tokens, act,
+                          enumerate_all_trees, parse_tree, pointer_view,
+                          set_partitions)
 
-from oracles import (brute_stabilizer, compose,
+from oracles import (_random_tree_text, brute_stabilizer, compose,
                      count_trees_by_partition_recursion,
                      count_trees_by_recurrence, random_permutation,
                      random_tree, tree_texts_in_documented_order, vertices)
@@ -62,6 +64,55 @@ def test_parse_errors(text):
     with pytest.raises(ValueError) as err:
         parse_tree(text)
     assert str(err.value) == PARSE_ERRORS[text]
+
+
+def _outcome(parse, text: str) -> str:
+    """The canonical text that ``parse`` reads from ``text``, or its error."""
+    try:
+        return parse(text).to_text()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _one_character_edits(text: str, alphabet="(),0123456789 x\u00b2"):
+    """Every deletion, insertion and substitution of one character."""
+    for i in range(len(text) + 1):
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+        for c in alphabet:
+            yield text[:i] + c + text[i:]
+            if i < len(text):
+                yield text[:i] + c + text[i + 1:]
+
+
+def test_parse_tree_agrees_with_the_token_loop():
+    # the JSON pass only ever declines; the token loop is the reference
+    rng = random.Random(37)
+    wellformed = [_random_tree_text(rng, rng.sample(range(1, 400), n))
+                  for n in range(1, 201)]
+    for text in wellformed:
+        assert _parse_nested(text) is not None
+    texts = [*PARSE_ERRORS, *wellformed]
+    for small in ("((1,2),3,4)", "(1,(2,3))", "(10,(2,3),4)"):
+        texts += _one_character_edits(small)
+    n = 3_000
+    texts.append("".join(f"({leaf}," for leaf in range(1, n)) + str(n) +
+                 ")" * (n - 1))
+    for text in texts:
+        assert _outcome(parse_tree, text) == _outcome(_parse_tokens, text), text
+
+
+def test_a_long_label_is_read_once_the_digit_cap_is_lifted():
+    # with the cap on, the label is a PARSE_ERRORS case
+    text = "(" + "1" * 5000 + ",2)"
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as the CLI does
+    try:
+        assert _parse_nested(text) is not None
+        assert (_outcome(parse_tree, text) == _outcome(_parse_tokens, text)
+                == "(2," + "1" * 5000 + ")")
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def test_canonical_child_order():
