@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # every export and the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("BlockSystem", "FixedTreeDiagnostics", "FixedTreeRecipe",
-                     "construction_recipes", "count_fixed_trees_direct",
-                     "enumerate_block_systems", "generate_fixed_trees"),
+                     "construction_recipes", "enumerate_block_systems",
+                     "generate_fixed_trees"),
                     "fixed_trees"),
     **dict.fromkeys(("SubgroupLattice", "build_lattice"), "lattice"),
     **dict.fromkeys(("PathwayDistribution", "SubgroupClassRow",

@@ -105,10 +105,10 @@ def _cmd_stabilizer(args, max_order) -> int:
 
 
 def _cmd_fixed_trees(args, max_order) -> int:
-    from .fixed_trees import count_fixed_trees_direct, generate_fixed_trees
+    from .fixed_trees import generate_fixed_trees
     group = _bounded(load_group(args.group), max_order)
     if args.count_only:
-        print(count_fixed_trees_direct(group))
+        print(sum(1 for _ in generate_fixed_trees(group)))
         return 0
     texts: dict[int, tuple] = {}  # id(root child) -> (root child, its text)
 
@@ -163,11 +163,10 @@ def _cmd_icosa_report(args, max_order) -> int:
         print("warning: no published reference values exist for T != 1",
               file=sys.stderr)
         group = replicated_action(group, args.T)
-    lat = build_lattice(group)
-    sys.stdout.write(format_distribution(pathway_size_distribution(group, lat)))
+    sys.stdout.write(format_distribution(pathway_size_distribution(group)))
     print()
     print("mobius matrix (CSV):")
-    sys.stdout.write(lat.to_csv())
+    sys.stdout.write(build_lattice(group).to_csv())
     return 0
 
 

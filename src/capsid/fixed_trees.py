@@ -102,15 +102,12 @@ class FixedTreeDiagnostics(NamedTuple):
     distinct: int
 
 
-def construction_recipes(group: PermGroup, points: Optional[frozenset] = None
-                         ) -> Iterator[FixedTreeRecipe]:
-    """The (partition, subgroups, seeds) choices for one construction level,
-    already filtered by the uniqueness restrictions.  The choices run over
-    the set partitions of the orbits, so more orbits than the enumeration
-    bound are refused."""
-    if points is None:
-        points = frozenset(range(1, group.degree + 1))
-    return _recipes(group, points, {})
+def construction_recipes(group: PermGroup) -> Iterator[FixedTreeRecipe]:
+    """The (partition, subgroups, seeds) choices for the top construction
+    level, already filtered by the uniqueness restrictions.  The choices run
+    over the set partitions of the orbits, so more orbits than the
+    enumeration bound are refused."""
+    return _recipes(group, frozenset(range(1, group.degree + 1)), {})
 
 
 def _recipes(group: PermGroup, points: frozenset, normalizers: dict
@@ -235,9 +232,3 @@ def generate_fixed_trees(group: PermGroup,
         seen.add(tree)
         yield tree
     diagnostics.append(FixedTreeDiagnostics(produced, len(seen)))
-
-
-def count_fixed_trees_direct(group: PermGroup) -> int:
-    """Stream length of :func:`generate_fixed_trees`; cross-checks the
-    generating-function counts."""
-    return sum(1 for _ in generate_fixed_trees(group))

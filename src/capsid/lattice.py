@@ -15,23 +15,17 @@ class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion, with Moebius values.
 
     ``nodes`` is canonically ordered by (order, element set), so the group
-    itself is last; ``node_class[i]`` is the index in ``classes`` of
-    nodes[i]'s conjugacy class; ``mobius[i]`` is the interval above
-    nodes[i], a dict from each j with nodes[i] <= nodes[j] to
-    mu(nodes[i], nodes[j]), so the rows also hold the order.  Readers take
-    a whole row or test membership in one: ``index_of`` finds a subgroup's
-    index, and ``class_of`` its class.
+    itself is last; ``mobius[i]`` is the interval above nodes[i], a dict
+    from each j with nodes[i] <= nodes[j] to mu(nodes[i], nodes[j]), so the
+    rows also hold the order.  ``index_of`` finds a subgroup's index, and
+    ``class_of`` its class.  The rows serve the ``mobius`` command, the
+    report's CSV and ``pathways.tbar``; the solver reads the census instead.
     """
 
     def __init__(self, nodes: list[PermGroup], classes: list[SubgroupClass]):
         self.nodes = tuple(nodes)
         self.classes = tuple(classes)
         self._node_index = {sub: i for i, sub in enumerate(self.nodes)}
-        node_class = [0] * len(self.nodes)
-        for ci, cls in enumerate(self.classes):
-            for member in cls.members:
-                node_class[self.index_of(member)] = ci
-        self.node_class = tuple(node_class)
         n = len(self.nodes)
         self.mobius = mobius = [{}] * n   # each row is replaced below
         # only j > i can lie above i (nodes are sorted by order), and rows
@@ -51,7 +45,8 @@ class SubgroupLattice:
             raise ValueError("subgroup is not a node of this lattice") from None
 
     def class_of(self, sub: PermGroup) -> SubgroupClass:
-        return self.classes[self.node_class[self.index_of(sub)]]
+        self.index_of(sub)   # refuses a subgroup that is not a node
+        return next(cls for cls in self.classes if sub in cls.members)
 
     def to_csv(self) -> str:
         """Moebius matrix as CSV; rows and columns labeled by subgroup index

@@ -1,11 +1,12 @@
 """From fixed-tree counts to the distribution of assembly pathways.
 
 For a group acting simply on the leaf set, t(H) counts the trees fixed by a
-subgroup H and is supplied by the generating functions.  Moebius inversion
-over the subgroup lattice turns it into tbar(H), the number of trees whose
-stabilizer is exactly H; summing tbar over the subgroups of index m and
-dividing by m gives N(m), the number of pathways (orbits) of size m, and
-each such pathway has probability m / (total number of trees).
+subgroup H and is supplied by the generating functions.  Inverting t per
+conjugacy class over ``SubgroupClass.below`` (:func:`tbar` inverts at one
+lattice node) gives tbar(H), the number of trees whose stabilizer is
+exactly H; summing tbar over the subgroups of index m and dividing by m
+gives N(m), the number of pathways (orbits) of size m, and each such
+pathway has probability m / (total number of trees).
 :func:`format_distribution` renders the whole distribution as the text
 report that ``capsid icosa-report`` prints.
 
@@ -16,11 +17,13 @@ rather than rounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import series
-from .lattice import SubgroupLattice, build_lattice
 from .perms import PermGroup
+
+if TYPE_CHECKING:
+    from .lattice import SubgroupLattice
 
 
 class SubgroupClassRow(NamedTuple):
@@ -54,7 +57,10 @@ def tbar(group: PermGroup, sub: PermGroup, t: dict[PermGroup, int],
     lattice of ``group``.  ``group`` itself is not read; it stays first
     because callers, the benchmark among them, pass it by position."""
     row = lat.mobius[lat.index_of(sub)]
-    value = sum(mu * t[lat.nodes[k]] for k, mu in row.items())
+    return _nonnegative(sum(mu * t[lat.nodes[k]] for k, mu in row.items()), sub)
+
+
+def _nonnegative(value: int, sub: PermGroup) -> int:
     if value < 0:
         raise ArithmeticError(
             f"negative inverted count {value} for a subgroup of order {sub.order}; "
@@ -66,34 +72,38 @@ def pathway_size_distribution(group: PermGroup,
                               lat: Optional[SubgroupLattice] = None
                               ) -> PathwayDistribution:
     """Compute N(m) for every divisor m of the group order, from the
-    generating-function counts and Moebius inversion.  A supplied ``lat``
-    must be the lattice of ``group``."""
+    generating-function counts inverted per conjugacy class.  A supplied
+    ``lat`` must be the lattice of ``group``; nothing else reads it."""
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
-    if lat is None:
-        lat = build_lattice(group)
-    elif lat.nodes[-1] != group:
+    if lat is not None and lat.nodes[-1] != group:
         raise ValueError("the lattice is not the given group's")
+    classes = group.conjugacy_classes_of_subgroups()
     leaf_count = group.degree
     # every subgroup H of a simple action acts simply, with leaf_count / |H|
     # orbits, and |H| divides leaf_count
     orders = {c: leaf_count // cls.representative.order
-              for c, cls in enumerate(lat.classes)}
-    counts = series.class_tree_counts(lat, orders)
-    t_by_class = [counts[c][n] for c, n in orders.items()]
-    t = {sub: t_by_class[c] for sub, c in zip(lat.nodes, lat.node_class)}
+              for c, cls in enumerate(classes)}
+    counts = series.class_tree_counts(classes, orders)
+    t = [counts[c][n] for c, n in orders.items()]
+    # paired[c] = |c| tbar_c: |c| t_c is paired[c] plus below[d][c] paired[d]
+    # over the classes d above c, which come later in census order
+    paired = [cls.size * tc for cls, tc in zip(classes, t)]
+    for d in reversed(range(len(classes))):
+        for c, k in classes[d].below:
+            paired[c] -= k * paired[d]
 
     rows = []
-    for cls, fixed in zip(lat.classes, t_by_class):
+    for cls, fixed, value in zip(classes, t, paired):
         rep = cls.representative
-        value = tbar(group, rep, t, lat)
         rows.append(SubgroupClassRow(
             representative=rep,
             order=rep.order,
             index=group.order // rep.order,
             class_size=cls.size,
             fixed_count=fixed,
-            exact_count=value,
+            # exact for any t: the |c| conjugates share one node-level tbar
+            exact_count=_nonnegative(value // cls.size, rep),
         ))
     rows.sort(key=lambda r: (r.order, -r.class_size))
 
@@ -105,7 +115,7 @@ def pathway_size_distribution(group: PermGroup,
                 f"pathway count for size {m} is not integral ({total}/{m})")
         per_divisor[m] = total // m
 
-    total_trees = t[lat.nodes[0]]
+    total_trees = t[0]
     weighted = sum(m * n for m, n in per_divisor.items())
     if weighted != total_trees:
         raise ArithmeticError(

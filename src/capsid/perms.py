@@ -12,13 +12,15 @@ representatives) runs on element indices through a multiplication table
 that looks each product up by its images on a base, points that tell the
 elements apart (one point for a simple action), so no ``Permutation`` and
 no whole image tuple is built.  The census extends one subgroup per
-conjugacy class and files all its conjugates at once, as element sets.
+conjugacy class and files all its conjugates at once, as element sets,
+with the class counts below each representative.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -311,9 +313,16 @@ class PermGroup:
         nodes = sorted(known, key=lambda fs: (len(fs), sorted(fs)))
         rank = {fs: i for i, fs in enumerate(nodes)}
         subs = self._subgroups = tuple(map(self._subgroup_from_indices, nodes))
-        self._classes = tuple(
-            SubgroupClass(subs[ranks[0]], tuple(subs[r] for r in ranks))
-            for ranks in sorted(sorted(map(rank.get, cls)) for cls in classes))
+        class_ranks = sorted(sorted(map(rank.get, cls)) for cls in classes)
+        class_of = {r: c for c, ranks in enumerate(class_ranks) for r in ranks}
+        filed = []
+        for ranks in class_ranks:
+            rep = ranks[0]  # a proper subgroup is smaller, so it ranks lower
+            below = Counter(class_of[r] for r in range(rep)
+                            if nodes[r] < nodes[rep])
+            filed.append(SubgroupClass(subs[rep], tuple(subs[r] for r in ranks),
+                                       tuple(sorted(below.items()))))
+        self._classes = tuple(filed)
 
     def conjugacy_classes_of_subgroups(self) -> list["SubgroupClass"]:
         """Partition of all subgroups into conjugacy classes, in the order of
@@ -362,9 +371,12 @@ class PermGroup:
 
 
 class SubgroupClass(NamedTuple):
-    """A conjugacy class of subgroups with its designated representative."""
+    """A conjugacy class of subgroups with its designated representative,
+    and ``below``: the pairs (d, k), sorted, where k > 0 members of class d
+    (the trivial class is 0) lie properly inside the representative."""
     representative: PermGroup
     members: tuple[PermGroup, ...]
+    below: tuple[tuple[int, int], ...]
 
     @property
     def size(self) -> int:

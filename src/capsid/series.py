@@ -11,9 +11,9 @@ and for a group G of order > 1 acting simply, with one summand per subgroup,
 
     1 + 2 f_G(x) = exp( sum over H <= G of f_H((G:H) x) / (G:H) ).
 
-Every subgroup of G is a node of G's subgroup lattice, and conjugate
-subgroups have equal counts, so the whole family is solved bottom-up over
-the lattice's conjugacy classes, each new count from lower-order data.
+Conjugate subgroups have equal counts, so the whole family is solved
+bottom-up over the census's conjugacy classes (``SubgroupClass.below``),
+each new count from lower-order data; no subgroup lattice is built.
 
 For H = 1, Lagrange inversion of x = 1 + 2f - exp(f) gives a closed form
 with no big-by-big products,
@@ -38,57 +38,50 @@ where u = t + w and w_n gathers the lower classes' counts (see
 
 from __future__ import annotations
 
-from collections import Counter
+from typing import Sequence
 
-from .lattice import SubgroupLattice, build_lattice
-from .perms import PermGroup
+from .perms import PermGroup, SubgroupClass
 
 
-def class_tree_counts(lat: SubgroupLattice,
+def class_tree_counts(classes: Sequence[SubgroupClass],
                       orders: dict[int, int]) -> list[list[int]]:
-    """The integer counts t_0..t_N(H) for the conjugacy classes of ``lat``.
+    """The integer counts t_0..t_N(H) for the conjugacy classes ``classes``
+    of a group's subgroups, in the census order.
 
     ``orders`` maps a class index to the order it needs.  Each class is
     solved to the largest order that it or any class above it needs; the
     result holds one count list per class, ``[0]`` for a class nothing
     needs.  Conjugate subgroups share their counts, so one solve per class
-    in ``lat.classes`` order (smaller subgroups first) suffices.
+    in census order (smaller subgroups first) suffices.
 
-    For the class of H, w_n = sum over nodes K < H of t_n(K) * (H:K)**(n-1)
-    and u = t + w; the nodes K < H are the k < h whose ``lat.mobius`` row
-    has H's index h as a key.  The trivial class (w = 0) comes whole from
-    :func:`base_tree_series`, the diagonal sums, before the order loop;
-    every other class takes the convolution
+    For the class of H, w_n = sum over K < H of t_n(K) * (H:K)**(n-1), read
+    off the class's ``below`` pairs, and u = t + w.  The trivial class 0
+    (w = 0) comes whole from :func:`base_tree_series`, the diagonal sums,
+    before the order loop; every other class takes the convolution
     t_n = w_n + 2 sum C(n-1, k-1) u_k t_{n-k} of the module docstring, one
     order at a time.
     """
-    classes = lat.classes
-    # below[c]: ((class of K, (H:K)), multiplicity) over the nodes K < H
-    below = []
-    for cls in classes:
-        h = lat.index_of(cls.representative)
-        below.append(list(Counter(
-            (lat.node_class[k], lat.nodes[h].order // lat.nodes[k].order)
-            for k in range(h) if h in lat.mobius[k]).items()))
+    # below[c]: (class d, members k, index (H:K)) over the classes below H
+    order = [cls.representative.order for cls in classes]
+    below = [[(d, k, order[c] // order[d]) for d, k in cls.below]
+             for c, cls in enumerate(classes)]
     need = [0] * len(classes)
-    for c, order in orders.items():
-        need[c] = order
+    for c, n in orders.items():
+        need[c] = n
     for c in reversed(range(len(classes))):
-        for (k, _), _ in below[c]:
-            need[k] = max(need[k], need[c])
-    trivial = lat.node_class[0]
+        for d, _, _ in below[c]:
+            need[d] = max(need[d], need[c])
     t = [[0] * (n + 1) for n in need]
-    if need[trivial]:
-        t[trivial] = base_tree_series(need[trivial])
+    if need[0]:
+        t[0] = base_tree_series(need[0])
     u = [[0] * (n + 1) for n in need]
     row = [1]   # C(n-1, k) for k = 0..n-1
     for n in range(1, max(need) + 1):
-        for c in range(len(classes)):
-            if c == trivial or need[c] < n:
+        for c in range(1, len(classes)):
+            if need[c] < n:
                 continue
             tc, uc = t[c], u[c]
-            w = sum(mult * t[k][n] * m ** (n - 1)
-                    for (k, m), mult in below[c])
+            w = sum(k * t[d][n] * m ** (n - 1) for d, k, m in below[c])
             tc[n] = w + 2 * sum(b * uk * tj for b, uk, tj
                                 in zip(row, uc[1:n], tc[n - 1:0:-1]))
             uc[n] = tc[n] + w
@@ -100,16 +93,15 @@ def fixed_tree_series(group: PermGroup, order: int) -> list[int]:
     """t_0..t_order of G, with t_0 = 0: t_n is the number of assembly trees
     on n*|G| leaves fixed by every element of G, for a group acting simply.
 
-    Solved over G's own lattice.  For the trivial group t_n is the total
-    count of trees on n leaves.
+    Solved over G's subgroup classes, the last of which is G.  For the
+    trivial group t_n is the total count of trees on n leaves.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
-    lat = build_lattice(group)
-    top = lat.node_class[-1]
-    return class_tree_counts(lat, {top: order})[top]
+    classes = group.conjugacy_classes_of_subgroups()
+    return class_tree_counts(classes, {len(classes) - 1: order})[-1]
 
 
 def base_tree_series(order: int) -> list[int]:

@@ -367,13 +367,15 @@ def composition_identity_holds(lat, counts: list[list[int]]) -> bool:
     and u = t + w give 1 - 2w + 2u = e^u, so 2w = F(u) with
     F(y) = 1 + 2y - e^y, and f inverts F by the base equation x = F(f).
     The composition is done here in Fractions, term by term."""
+    class_of = {sub: c for c, cls in enumerate(lat.classes)
+                for sub in cls.members}
     for c, cls in enumerate(lat.classes):
         h = lat.index_of(cls.representative)
         if h == 0:
             continue
         top = len(counts[c]) - 1
         f = tree_counts_by_recurrence(top)
-        w = [sum(counts[lat.node_class[k]][n]
+        w = [sum(counts[class_of[lat.nodes[k]]][n]
                  * (lat.nodes[h].order // lat.nodes[k].order) ** (n - 1)
                  for k in range(h)
                  if lat.nodes[k].is_subgroup_of(lat.nodes[h])) if n else 0

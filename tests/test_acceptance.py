@@ -21,8 +21,7 @@ from fractions import Fraction
 import pytest
 
 from capsid.cli import main
-from capsid.fixed_trees import count_fixed_trees_direct, \
-    enumerate_block_systems
+from capsid.fixed_trees import enumerate_block_systems, generate_fixed_trees
 from capsid.pathways import pathway_probabilities, pathway_size_distribution
 from capsid.perms import (close_generators, icosahedral_group,
                           parse_permutation, replicated_action, trivial_group)
@@ -266,7 +265,7 @@ def test_acceptance_07_generator_vs_series(klein, k1, z2_on_6, klein_on_8,
     start = time.perf_counter()
     cases = [(k1, 2, 6), (z2_on_6, 3, 72), (klein, 1, 4), (klein_on_8, 2, 104)]
     for group, n, expected in cases:
-        assert count_fixed_trees_direct(group) == expected
+        assert sum(1 for _ in generate_fixed_trees(group)) == expected
         assert fixed_tree_count(group, n) == expected
     elapsed = time.perf_counter() - start
     ok = elapsed < 120.0

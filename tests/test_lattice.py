@@ -65,8 +65,8 @@ def test_interval_above_rejects_foreign_subgroup(klein, klein_lattice, s3):
 
 @pytest.mark.parametrize("group", ["klein", "ico", "s3_regular", "s3"])
 def test_mobius_rows_are_the_intervals_above(group, request):
-    # tbar sums a whole mobius row and class_tree_counts tests membership in
-    # rows: the keys of row i must be exactly the j with nodes[i] <= nodes[j],
+    # tbar sums a whole mobius row and the CSV reads cells off rows: the
+    # keys of row i must be exactly the j with nodes[i] <= nodes[j],
     # none below the diagonal, where the lattice tests no pair, with mu 1 on
     # the diagonal; natural s3 is not a simple action, and the lattice takes
     # it all the same

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from capsid import series
 from capsid.lattice import build_lattice
 from capsid.pathways import (format_distribution, pathway_probabilities,
                              pathway_size_distribution, tbar)
@@ -157,6 +158,53 @@ def test_rejects_another_groups_lattice(klein, other):
     lat = build_lattice(other(klein))
     with pytest.raises(ValueError, match="the lattice is not the given group's"):
         pathway_size_distribution(klein, lat)
+
+
+CLASS_INVERSION_GROUPS = {
+    "klein": lambda: _generated(4, "(1 2)(3 4)", "(1 3)(2 4)"),
+    "s4_regular": lambda: _generated(4, "(1 2 3 4)", "(1 2)").regular_action(),
+    "ico": icosahedral_group,
+    "ico_t2": lambda: replicated_action(icosahedral_group(), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_INVERSION_GROUPS))
+def test_class_inversion_matches_node_level_tbar(name):
+    # the distribution inverts per class over the census's below counts;
+    # tbar inverts per node over the Moebius rows
+    group = CLASS_INVERSION_GROUPS[name]()
+    dist = pathway_size_distribution(group)
+    lat = build_lattice(group)
+    fixed = {row.representative: row.fixed_count
+             for row in dist.per_subgroup_class}
+    t = {sub: fixed[cls.representative]
+         for cls in lat.classes for sub in cls.members}
+    assert len(t) == len(lat.nodes)
+    for row in dist.per_subgroup_class:
+        assert row.exact_count == tbar(group, row.representative, t, lat)
+
+
+def test_distribution_guards_fire_on_corrupted_counts(klein, monkeypatch):
+    solve = series.class_tree_counts
+    classes = klein.conjugacy_classes_of_subgroups()
+    order_two = next(c for c, cls in enumerate(classes)
+                     if cls.representative.order == 2)
+
+    def corrupted(c, n, delta):
+        def class_tree_counts(classes, orders):
+            counts = solve(classes, orders)
+            counts[c][n] += delta
+            return counts
+        return class_tree_counts
+
+    # one more tree on 4 leaves: tbar(1) = 17 trees in orbits of size 4
+    monkeypatch.setattr(series, "class_tree_counts", corrupted(0, 4, 1))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        pathway_size_distribution(klein)
+    # an order-2 subgroup fixing none of the 4 trees the whole group fixes
+    monkeypatch.setattr(series, "class_tree_counts", corrupted(order_two, 2, -6))
+    with pytest.raises(ArithmeticError, match="negative inverted count"):
+        pathway_size_distribution(klein)
 
 
 def test_format_distribution_deterministic(klein_dist):

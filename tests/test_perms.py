@@ -224,6 +224,10 @@ def test_census_matches_the_brute_force_oracle(name):
     assert [images(sub) for sub in nodes] == sorted(
         (sub for cls in expected for sub in cls),
         key=lambda sub: (len(sub), sorted(sub)))
+    # below: per class d, the members of d properly inside the representative
+    for cls, members in zip(classes, expected):
+        counts = [sum(m < members[0] for m in lower) for lower in expected]
+        assert cls.below == tuple((d, k) for d, k in enumerate(counts) if k)
     # each subgroup and each normalizer keeps generators of its own, which
     # close to it
     for sub in nodes:

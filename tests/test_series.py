@@ -77,7 +77,7 @@ def test_s4_classes_of_isomorphic_subgroups_share_counts():
     s4 = close_generators([parse_permutation("(1 2 3 4)", 4),
                            parse_permutation("(1 2)", 4)], 4).regular_action()
     lat = build_lattice(s4)
-    counts = class_tree_counts(lat, {c: 6 for c in range(len(lat.classes))})
+    counts = class_tree_counts(lat.classes, {c: 6 for c in range(len(lat.classes))})
     involutions, fours = [], []
     for cls, t in zip(lat.classes, counts):
         rep = cls.representative
@@ -94,13 +94,13 @@ def test_every_class_meets_the_composition_identity(klein, ico):
                            parse_permutation("(1 2)", 4)], 4).regular_action()
     for group in (klein, s4, ico):
         lat = build_lattice(group)
-        counts = class_tree_counts(lat, {c: 8 for c in range(len(lat.classes))})
+        counts = class_tree_counts(lat.classes, {c: 8 for c in range(len(lat.classes))})
         assert composition_identity_holds(lat, counts)
 
 
 def test_composition_oracle_rejects_a_count_off_by_one(klein):
     lat = build_lattice(klein)
-    counts = class_tree_counts(lat, {c: 6 for c in range(len(lat.classes))})
+    counts = class_tree_counts(lat.classes, {c: 6 for c in range(len(lat.classes))})
     for c in range(1, len(lat.classes)):
         for n in range(1, 7):
             wrong = [list(t) for t in counts]
