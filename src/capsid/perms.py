@@ -59,7 +59,7 @@ class Permutation:
         return self.images[point - 1]
 
     def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles of length >= 2, each starting at its minimum."""
@@ -96,6 +96,9 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}]"
+
+
+_images = operator.attrgetter("images")
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
@@ -152,13 +155,13 @@ class PermGroup:
                  elements: Sequence[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(set(elements)))
+        # sorting by the image tuples is the order of ``<``, compared in C
+        self.elements = tuple(sorted(set(elements), key=_images))
         if not self.elements or not self.elements[0].is_identity():
             raise ValueError("element set must contain the identity")
-        for p in self.generators + self.elements:
-            if p.degree != degree:
-                raise ValueError("degree mismatch inside group")
-        self._eset = frozenset(p.images for p in self.elements)
+        if any(len(p.images) != degree for p in self.generators + self.elements):
+            raise ValueError("degree mismatch inside group")
+        self._eset = frozenset(map(_images, self.elements))
         self._index: Optional[dict] = None
         self._table: Optional[list] = None
         self._inverse: Optional[list] = None

@@ -10,8 +10,9 @@ children, which is then its own image.  Each pointer is followed at most
 once, so one run costs linear time in the number of leaves and needs no
 recursion; the traversal audit makes that checkable.  The stabilizer
 builds one pointer structure per call, re-aims it at each element it
-tests, and tests only elements that pass the ancestor-size test below; the
-closure of the fixers found is a set of image tuples grown in place.
+tests, and tests only the elements that send the least leaf to a leaf whose
+root path has the same subtree sizes, found by one walk down from the root;
+the closure of the fixers found is a set of image tuples grown in place.
 """
 
 from __future__ import annotations
@@ -133,11 +134,12 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
     Scans the group elements in increasing order, skipping those already in
     the closure of the fixing elements found so far and adding each other
     element that fixes tau, tested on a view re-aimed from one shape built
-    per call.  Elements failing the ancestor-size test (a fixer maps the
-    smallest leaf's root path onto its image's with equal subtree sizes)
-    are skipped untested, so the generators are those of the plain scan.
-    The closure starts as the identity's image tuple; each new generator
-    grows it in place by right multiplication, and the group is built once.
+    per call.  A fixer maps the least leaf's root path onto its image's
+    with equal subtree sizes, so only the elements that send the least leaf
+    to a leaf found by one walk down those sizes from the root are tested,
+    and the generators are those of the plain scan.  The closure starts as
+    the identity's image tuple; each new generator grows it in place by
+    right multiplication, and the group is built once.
     """
     try:
         base = TreePointerView(tau, group.identity)
@@ -148,15 +150,18 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
     if sum(len(o) for o in group.orbits() if leaves.keys() >= set(o)) != len(leaves):
         raise ValueError("leaf set mismatch: the group does not act on the leaf set")
 
-    parent, first = base.parent, base.first
-    chain, chains = [0] * len(parent), {}  # chain[v] numbers the sizes along root..v
-    for v in reversed(range(base.root)):  # parents before children
-        chain[v] = chains.setdefault((chain[parent[v]], v - first[v]), len(chains) + 1)
-    key = chain[leaves[tau.min_label]]
-    candidates = {label for label, v in leaves.items() if chain[v] == key}
+    parent, first, children = base.parent, base.first, base.children
+    sizes, v = [], leaves[tau.min_label]  # vertex counts up the least leaf's path
+    while v != base.root:
+        sizes.append(v - first[v])
+        v = parent[v]
+    level = [base.root]  # the vertices whose root path has the sizes read so far
+    for size in reversed(sizes):
+        level = [c for u in level for c in children[u] if c - first[c] == size]
+    candidates, m = set(level), tau.min_label - 1
     gens, closure = [group.identity], {group.identity.images}
-    for g in group.elements:
-        if g.images[tau.min_label - 1] in candidates and g.images not in closure:
+    for g in [g for g in group.elements if leaves.get(g.images[m]) in candidates]:
+        if g.images not in closure:
             view = base.with_permutation(g)
             if locate_image(view, view.root) == view.root:
                 gens.append(g)

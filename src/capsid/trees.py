@@ -425,7 +425,12 @@ class TreePointerView:
         done = []  # the finished subtrees still without a parent, in order
         for v, node in enumerate(nodes):
             k = len(node.children)  # its children are the last k subtrees done
-            if k:
+            if k == 2:  # a binary vertex, the common case: no slice
+                b, a = done.pop(), done.pop()
+                parent[a] = parent[b] = v
+                first[v] = first[a]
+                kids = [a, b]
+            elif k:
                 kids = done[-k:]
                 del done[-k:]
                 for c in kids:

@@ -40,6 +40,21 @@ def brute_stabilizer(group: PermGroup, tau: AssemblyTree) -> list[Permutation]:
     return [g for g in group.elements if act(g, tau) == tau]
 
 
+def size_path_leaves(tau: AssemblyTree) -> set[int]:
+    """The labels of the leaves whose path down from the root has, vertex by
+    vertex, the subtree vertex counts of the least leaf's path, counted on
+    the tree itself."""
+    paths, stack = {}, [(tau, ())]
+    while stack:
+        v, path = stack.pop()
+        path += (len(vertices(v)),)
+        if v.children:
+            stack.extend((c, path) for c in v.children)
+        else:
+            paths[v.min_label] = path
+    return {x for x, path in paths.items() if path == paths[tau.min_label]}
+
+
 def brute_orbit_partition(group: PermGroup, labels) -> list[set[AssemblyTree]]:
     """All pathway orbits obtained by exhaustive action on the enumerated
     tree list."""

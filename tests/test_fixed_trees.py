@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from capsid import fixed_trees
+from capsid import fixed_trees, trees
 from capsid.fixed_trees import (construction_recipes, enumerate_block_systems,
                                 generate_fixed_trees)
 from capsid.perms import (PermGroup, builtin_group, close_generators,
@@ -62,6 +62,30 @@ def test_block_systems_refuse_a_repeated_recipe(klein, monkeypatch):
                         lambda group: recipes + recipes[:1])
     with pytest.raises(RuntimeError):
         enumerate_block_systems(klein)
+
+
+def test_overlapping_coset_translates_are_refused(klein, monkeypatch):
+    cosets = PermGroup.left_coset_representatives
+
+    def identity_twice(group, sub):
+        reps = cosets(group, sub)
+        return reps + reps[:1]
+
+    monkeypatch.setattr(PermGroup, "left_coset_representatives", identity_twice)
+    with pytest.raises(RuntimeError, match="coset translates of a seed overlap"):
+        list(generate_fixed_trees(klein))
+
+
+def test_enumerator_refuses_a_partition_one_block_short(monkeypatch):
+    partitions = trees.set_partitions
+
+    def one_block_short(items, min_parts=1):
+        for blocks in partitions(items, min_parts):
+            yield blocks[:-1]
+
+    monkeypatch.setattr(trees, "set_partitions", one_block_short)
+    with pytest.raises(RuntimeError, match="is not a set partition"):
+        list(enumerate_all_trees(range(1, 5)))
 
 
 def test_block_systems_reject_non_simple():

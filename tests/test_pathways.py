@@ -6,8 +6,9 @@ from capsid import series
 from capsid.lattice import build_lattice
 from capsid.pathways import (format_distribution, pathway_probabilities,
                              pathway_size_distribution, tbar)
-from capsid.perms import (close_generators, cyclic_group, icosahedral_group,
-                          parse_permutation, replicated_action, trivial_group)
+from capsid.perms import (PermGroup, close_generators, cyclic_group,
+                          icosahedral_group, parse_permutation,
+                          replicated_action, trivial_group)
 
 from oracles import (brute_orbit_partition, brute_pathway_counts,
                      burnside_total, count_trees_by_recurrence)
@@ -205,6 +206,21 @@ def test_distribution_guards_fire_on_corrupted_counts(klein, monkeypatch):
     monkeypatch.setattr(series, "class_tree_counts", corrupted(order_two, 2, -6))
     with pytest.raises(ArithmeticError, match="negative inverted count"):
         pathway_size_distribution(klein)
+
+
+def test_coverage_guard_fires_on_a_corrupted_class_table(ico, monkeypatch):
+    # count two trivial subgroups below each order-2 subgroup instead of one:
+    # every inverted count stays integral and nonnegative, and only the
+    # partition identity sees that the sizes no longer cover the trees
+    classes = ico.conjugacy_classes_of_subgroups()
+    c = next(c for c, cls in enumerate(classes) if cls.representative.order == 2)
+    assert classes[c].below == ((0, 1),)
+    corrupted = list(classes)
+    corrupted[c] = classes[c]._replace(below=((0, 2),))
+    monkeypatch.setattr(PermGroup, "conjugacy_classes_of_subgroups",
+                        lambda group: list(corrupted))
+    with pytest.raises(ArithmeticError, match="pathway sizes cover"):
+        pathway_size_distribution(ico)
 
 
 def test_format_distribution_deterministic(klein_dist):

@@ -383,3 +383,26 @@ def test_group_from_text_needs_a_degree_line(header):
     with pytest.raises(ValueError) as err:
         group_from_text(f"{header}\n(1 2)(3 4)\n")
     assert str(err.value) == "group text must start with a 'degree N' line"
+
+
+def test_is_identity():
+    assert Permutation.identity(1).is_identity()
+    assert Permutation.identity(5).is_identity()
+    assert not Permutation((2, 1)).is_identity()
+    assert not Permutation((1, 3, 2)).is_identity()
+    assert not Permutation((2, 3, 4, 5, 1)).is_identity()
+
+
+def test_group_guards():
+    swap, identity = Permutation((2, 1)), Permutation.identity(2)
+    for elements in ([], [swap]):
+        with pytest.raises(ValueError, match="element set must contain the identity"):
+            PermGroup(2, [], elements)
+    # a generator, or an element, of another degree
+    with pytest.raises(ValueError, match="degree mismatch inside group"):
+        PermGroup(3, [swap], [Permutation.identity(3)])
+    with pytest.raises(ValueError, match="degree mismatch inside group"):
+        PermGroup(2, [swap], [identity, swap, Permutation((2, 1, 3))])
+    # a derived group sorts its elements by image tuple, the identity first
+    group = PermGroup(2, [swap], [swap, identity, swap])
+    assert group.elements == (identity, swap)

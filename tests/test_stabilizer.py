@@ -11,7 +11,8 @@ from capsid.trees import (TreePointerView, act, enumerate_all_trees,
                           parse_tree, pointer_view)
 
 from oracles import (brute_stabilizer, closure_by_products, compose,
-                     random_permutation, random_tree, vertices)
+                     random_permutation, random_tree, size_path_leaves,
+                     vertices)
 
 
 @pytest.fixture
@@ -374,3 +375,42 @@ def test_candidate_test_skips_non_fixers(ico, monkeypatch):
     tau = random_tree(random.Random(73), range(1, 61))
     result = stabilizer(ico, tau)
     assert len(calls) < ico.order - result.order
+
+
+def _expected_reaims(group, tau):
+    """In increasing order, each g that maps the least label to a leaf of
+    ``size_path_leaves(tau)`` and lies outside the group that the fixers
+    among the earlier such g generate."""
+    candidates, least = size_path_leaves(tau), tau.min_label
+    gens, closure, expected = [group.identity], {group.identity.images}, []
+    for g in sorted(group.elements):
+        if g(least) in candidates and g.images not in closure:
+            expected.append(g)
+            if act(g, tau) == tau:
+                gens.append(g)
+                closure = set(closure_by_products(gens, group.degree))
+    return expected
+
+
+def test_reaims_are_exactly_the_size_path_candidates(ico, monkeypatch):
+    # a weaker candidate filter re-aims at more elements and a stronger one
+    # at fewer, so either changes the list
+    calls = []
+    reaim = TreePointerView.with_permutation
+
+    def counting(view, g):
+        calls.append(g)
+        return reaim(view, g)
+
+    monkeypatch.setattr(TreePointerView, "with_permutation", counting)
+    rng = random.Random(83)
+    cases = [(ico, random_tree(rng, range(1, 61))) for _ in range(20)]
+    cases += [(ico, _symmetric_tree(ico, rng)) for _ in range(20)]
+    s4 = close_generators([parse_permutation("(1 2 3 4)", 4),
+                           parse_permutation("(1 2)", 4)], 4)
+    cases += [(s4, tau) for tau in enumerate_all_trees(range(1, 5))]
+    cases.append((trivial_group(1), parse_tree("1")))
+    for group, tau in cases:
+        calls.clear()
+        stabilizer(group, tau)
+        assert calls == _expected_reaims(group, tau), tau.to_text()
