@@ -32,12 +32,11 @@ _EXPORTS = {
                      "trivial_group"), "perms"),
     **dict.fromkeys(("base_tree_series", "fixed_tree_count",
                      "fixed_tree_series"), "series"),
-    **dict.fromkeys(("StabilizerResult", "TraversalAudit", "fixes",
-                     "locate_image", "pointer_traversal_audit", "stabilizer"),
-                    "stabilizers"),
-    **dict.fromkeys(("AssemblyTree", "TreePointerView", "act",
-                     "enumerate_all_trees", "parse_tree", "pointer_view",
-                     "set_partitions"), "trees"),
+    **dict.fromkeys(("StabilizerResult", "TraversalAudit", "TreePointerView",
+                     "fixes", "locate_image", "pointer_traversal_audit",
+                     "pointer_view", "stabilizer"), "stabilizers"),
+    **dict.fromkeys(("AssemblyTree", "act", "enumerate_all_trees",
+                     "parse_tree", "set_partitions"), "trees"),
 }
 
 __all__ = list(_EXPORTS)

@@ -30,9 +30,9 @@ class Permutation:
     """A bijection of the points 1..N.
 
     ``images[i]`` is the image of point ``i + 1`` (points are 1-based).
-    Instances are immutable, hashable, and sort (``<``) by the image
-    sequence; that order is what makes every group computation in this
-    package reproducible.
+    Instances are immutable and hashable.  Groups keep their elements in
+    the order of the image sequences; that order is what makes every group
+    computation in this package reproducible.
     """
 
     __slots__ = ("images",)
@@ -90,9 +90,6 @@ class Permutation:
 
     def __hash__(self) -> int:
         return hash(self.images)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}]"

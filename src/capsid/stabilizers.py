@@ -1,10 +1,12 @@
 """Deciding whether a permutation fixes an assembly tree, and computing the
 stabilizer of a tree inside a group.
 
-The image-location routine works bottom-up on the pointer structure, whose
-vertices are postorder integers and whose pointers and traversal counters
-are flat lists: one loop over a subtree's postorder range visits every
-vertex after its children.  A leaf follows its g-pointer; an internal vertex
+The pointer structure, ``TreePointerView``, is defined here with the
+routines that walk it: its vertices are postorder integers, its pointers
+and traversal counters are flat lists, and each leaf label is kept once,
+in its leaf map.  The image-location routine works bottom-up on it: one
+loop over a subtree's postorder range visits every vertex after its
+children.  A leaf follows its g-pointer; an internal vertex
 succeeds when its children's images share a common parent with as many
 children, which is then its own image.  Each pointer is followed at most
 once, so one run costs linear time in the number of leaves and needs no
@@ -20,7 +22,85 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .perms import PermGroup, Permutation, _close_images
-from .trees import AssemblyTree, TreePointerView, pointer_view
+from .trees import AssemblyTree
+
+
+class TreePointerView:
+    """The pointer structure for one (tree, permutation) pair, as flat lists
+    indexed by vertex.
+
+    The shape, shared with every view that ``with_permutation`` makes from
+    this one: vertices are numbered in postorder, so the root is last and
+    the subtree at v is the range ``first[v]..v``; ``children[v]`` and
+    ``parent[v]`` (None at the root) are the child and parent pointers;
+    labels are kept once, in ``leaves``, which maps each leaf label to its
+    vertex, and ``max_label`` is the largest of them.  The aim, each view's
+    own: the g-pointer ``g_target[v]`` of a leaf labeled u is the leaf
+    labeled g(u), or None when g(u) is not a leaf (and at every internal
+    vertex), and each pointer has a traversal counter: ``child_count[c]``
+    for the pointer from c's parent to c, ``parent_count[c]`` for c's parent
+    pointer and ``g_count[v]`` for a leaf's g-pointer.  The counters make a
+    view single-use and single-threaded; take a fresh view, built or
+    re-aimed, for each run.
+    """
+
+    def __init__(self, tau: AssemblyTree, g: Permutation):
+        nodes = []
+        stack = [tau]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children)
+        nodes.reverse()  # postorder: each subtree in order, then its root
+        n = len(nodes)
+        parent, first, children, leaves = [None] * n, list(range(n)), [], {}
+        done = []  # the finished subtrees still without a parent, in order
+        for v, node in enumerate(nodes):
+            k = len(node.children)  # its children are the last k subtrees done
+            if k == 2:  # a binary vertex, the common case: no slice
+                b, a = done.pop(), done.pop()
+                parent[a] = parent[b] = v
+                first[v] = first[a]
+                kids = [a, b]
+            elif k:
+                kids = done[-k:]
+                del done[-k:]
+                for c in kids:
+                    parent[c] = v
+                first[v] = first[kids[0]]
+            else:
+                kids = []
+                leaves[node.min_label] = v
+            children.append(kids)
+            done.append(v)
+        self.root, self.children, self.parent, self.first = n - 1, children, parent, first
+        self.leaves, self.max_label = leaves, max(leaves)
+        self._aim(g)
+
+    def with_permutation(self, g: Permutation) -> "TreePointerView":
+        """A fresh view of the same tree under g; this view is untouched."""
+        view = object.__new__(TreePointerView)
+        view.root, view.children, view.parent, view.first = (
+            self.root, self.children, self.parent, self.first)
+        view.leaves, view.max_label = self.leaves, self.max_label
+        return view._aim(g)
+
+    def _aim(self, g: Permutation) -> "TreePointerView":
+        if g.degree < self.max_label:
+            raise ValueError("permutation degree does not cover the leaf labels")
+        images, leaves, n = g.images, self.leaves, len(self.parent)
+        g_target = [None] * n
+        for label, v in leaves.items():
+            g_target[v] = leaves.get(images[label - 1])
+        self.g_target = g_target
+        self.child_count = [0] * n
+        self.parent_count = [0] * n
+        self.g_count = [0] * n
+        return self
+
+
+def pointer_view(tau: AssemblyTree, g: Permutation) -> TreePointerView:
+    return TreePointerView(tau, g)
 
 
 class StabilizerResult(NamedTuple):
@@ -105,7 +185,7 @@ def locate_image(view: TreePointerView, v: int) -> Optional[int]:
 
 def fixes(g: Permutation, tau: AssemblyTree) -> bool:
     """True iff g fixes tau, decided on the pointer structure."""
-    view = pointer_view(tau, g)
+    view = TreePointerView(tau, g)
     return locate_image(view, view.root) == view.root
 
 

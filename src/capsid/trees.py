@@ -4,10 +4,11 @@ set of positive integers, every internal vertex having at least two children.
 The paper identifies each vertex with the set of its descendant leaf labels.
 A tree here stores no such set: each vertex keeps its children and its
 least leaf label, and nothing else is computed while a tree is built, so a
-tree costs memory linear in its leaves.  The hash is taken on first request
-and kept in the vertex; the leaf count is ``len(tau.labels)``.  Children are
-kept sorted by least leaf label, so two trees are equal exactly when they
-are structurally identical, and the serialized text is a canonical form.
+tree costs memory linear in its leaves; the leaf count is
+``len(tau.labels)``.  Children are kept sorted by least leaf label and
+labels are distinct, so the serialized text is a canonical form and is the
+tree's identity: two trees are equal, and hash alike, exactly when their
+texts are equal.
 
 Leaf labels are checked to be distinct where input enters, once per tree
 or per construction level, not at every vertex: ``parse_tree`` keeps one
@@ -24,8 +25,6 @@ deeper text goes to the token loop, which keeps an explicit stack.
 Trees are immutable, so they may share subtrees and leaves: the
 enumerator's memoized blocks and the fixed-tree generator's one leaf per
 point are shared by every tree built from them.
-The pointer view that ``fixes`` and ``stabilizer`` walk keeps its
-pointers as flat lists and each leaf label once, in its leaf map.
 
 The exhaustive enumerator in this module is the brute-force oracle that the
 rest of the package is tested against.
@@ -50,16 +49,15 @@ class AssemblyTree:
     leaf, and ``min_label`` is the least leaf label below the vertex; a
     vertex stores nothing else.  The vertex label, the set of descendant
     leaf labels, is ``labels``, which walks the subtree each time it is read.
-    The hash is taken on first request and kept, see ``__hash__``.
+    Equality and the hash read the canonical text, ``to_text``.
     """
 
-    __slots__ = ("children", "min_label", "_hash")
+    __slots__ = ("children", "min_label")
 
     def __init__(self, children: tuple, min_label: int):
         # internal: build trees with AssemblyTree.leaf and parse_tree
         self.children = children
         self.min_label = min_label
-        self._hash = None
 
     @classmethod
     def leaf(cls, label: int) -> "AssemblyTree":
@@ -80,33 +78,10 @@ class AssemblyTree:
         return frozenset(found)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AssemblyTree):
-            return False
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if (a.min_label != b.min_label
-                    or len(a.children) != len(b.children)):
-                return False
-            pairs.extend(zip(a.children, b.children))
-        return True
+        return isinstance(other, AssemblyTree) and self.to_text() == other.to_text()
 
     def __hash__(self) -> int:
-        """A leaf hashes its label and a vertex its children.  The vertices
-        below without a hash yet are listed parents first, then hashed and
-        kept children first, so no call recurses and a subtree that trees
-        share is hashed once."""
-        if self._hash is None:
-            order = [self]
-            for v in order:  # the loop also reads what it appends
-                if v._hash is None:
-                    order += v.children
-            for v in reversed(order):
-                if v._hash is None:
-                    v._hash = hash(v.children) if v.children else hash(v.min_label)
-        return self._hash
+        return hash(self.to_text())
 
     def __repr__(self) -> str:
         return f"AssemblyTree({self.to_text()})"
@@ -383,89 +358,9 @@ def set_partitions(items: tuple, min_parts: int = 1) -> Iterator[tuple]:
     for r in range(len(rest) + 1):
         for mates in itertools.combinations(rest, r):
             block = (first,) + mates
-            remaining = tuple(x for x in rest if x not in set(mates))
+            remaining = tuple(x for x in rest if x not in mates)
             if remaining:
                 for sub in set_partitions(remaining, min_parts - 1):
                     yield (block,) + sub
             elif min_parts <= 1:
                 yield (block,)
-
-
-# -- pointer data structure ---------------------------------------------------
-
-class TreePointerView:
-    """The pointer structure for one (tree, permutation) pair, as flat lists
-    indexed by vertex.
-
-    The shape, shared with every view that ``with_permutation`` makes from
-    this one: vertices are numbered in postorder, so the root is last and
-    the subtree at v is the range ``first[v]..v``; ``children[v]`` and
-    ``parent[v]`` (None at the root) are the child and parent pointers;
-    labels are kept once, in ``leaves``, which maps each leaf label to its
-    vertex, and ``max_label`` is the largest of them.  The aim, each view's
-    own: the g-pointer ``g_target[v]`` of a leaf labeled u is the leaf
-    labeled g(u), or None when g(u) is not a leaf (and at every internal
-    vertex), and each pointer has a traversal counter: ``child_count[c]``
-    for the pointer from c's parent to c, ``parent_count[c]`` for c's parent
-    pointer and ``g_count[v]`` for a leaf's g-pointer.  The counters make a
-    view single-use and single-threaded; take a fresh view, built or
-    re-aimed, for each run.
-    """
-
-    def __init__(self, tau: AssemblyTree, g: Permutation):
-        nodes = []
-        stack = [tau]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(node.children)
-        nodes.reverse()  # postorder: each subtree in order, then its root
-        n = len(nodes)
-        parent, first, children, leaves = [None] * n, list(range(n)), [], {}
-        done = []  # the finished subtrees still without a parent, in order
-        for v, node in enumerate(nodes):
-            k = len(node.children)  # its children are the last k subtrees done
-            if k == 2:  # a binary vertex, the common case: no slice
-                b, a = done.pop(), done.pop()
-                parent[a] = parent[b] = v
-                first[v] = first[a]
-                kids = [a, b]
-            elif k:
-                kids = done[-k:]
-                del done[-k:]
-                for c in kids:
-                    parent[c] = v
-                first[v] = first[kids[0]]
-            else:
-                kids = []
-                leaves[node.min_label] = v
-            children.append(kids)
-            done.append(v)
-        self.root, self.children, self.parent, self.first = n - 1, children, parent, first
-        self.leaves, self.max_label = leaves, max(leaves)
-        self._aim(g)
-
-    def with_permutation(self, g: Permutation) -> "TreePointerView":
-        """A fresh view of the same tree under g; this view is untouched."""
-        view = object.__new__(TreePointerView)
-        view.root, view.children, view.parent, view.first = (
-            self.root, self.children, self.parent, self.first)
-        view.leaves, view.max_label = self.leaves, self.max_label
-        return view._aim(g)
-
-    def _aim(self, g: Permutation) -> "TreePointerView":
-        if g.degree < self.max_label:
-            raise ValueError("permutation degree does not cover the leaf labels")
-        images, leaves, n = g.images, self.leaves, len(self.parent)
-        g_target = [None] * n
-        for label, v in leaves.items():
-            g_target[v] = leaves.get(images[label - 1])
-        self.g_target = g_target
-        self.child_count = [0] * n
-        self.parent_count = [0] * n
-        self.g_count = [0] * n
-        return self
-
-
-def pointer_view(tau: AssemblyTree, g: Permutation) -> TreePointerView:
-    return TreePointerView(tau, g)

@@ -27,8 +27,8 @@ from capsid.perms import (close_generators, icosahedral_group,
                           parse_permutation, replicated_action, trivial_group)
 from capsid.series import fixed_tree_count, fixed_tree_series
 from capsid.stabilizers import fixes, locate_image, pointer_traversal_audit, \
-    stabilizer
-from capsid.trees import act, enumerate_all_trees, pointer_view
+    pointer_view, stabilizer
+from capsid.trees import act, enumerate_all_trees
 
 from oracles import (brute_orbit_partition, brute_stabilizer, burnside_total,
                      count_trees_by_recurrence, random_permutation,

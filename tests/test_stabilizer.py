@@ -5,10 +5,10 @@ import pytest
 
 from capsid.perms import (Permutation, close_generators, parse_permutation,
                           trivial_group)
-from capsid.stabilizers import (fixes, locate_image, pointer_traversal_audit,
-                               stabilizer)
-from capsid.trees import (TreePointerView, act, enumerate_all_trees,
-                          parse_tree, pointer_view)
+from capsid.stabilizers import (TreePointerView, fixes, locate_image,
+                                pointer_traversal_audit, pointer_view,
+                                stabilizer)
+from capsid.trees import act, enumerate_all_trees, parse_tree
 
 from oracles import (brute_stabilizer, closure_by_products, compose,
                      random_permutation, random_tree, size_path_leaves,
@@ -176,11 +176,11 @@ def test_stabilizer_matches_brute_force(klein, k1, z2_on_6, z6, s3_regular):
 
 def _greedy_generators(group, fixers):
     """The identity, then each element of the brute-force stabilizer
-    ``fixers``, in increasing order, that the earlier ones do not already
-    generate."""
+    ``fixers``, in increasing order (the group's, which ``fixers`` keeps),
+    that the earlier ones do not already generate."""
     gens = [group.identity]
     closure = set(closure_by_products(gens, group.degree))
-    for g in sorted(fixers):
+    for g in fixers:
         if g.images not in closure:
             gens.append(g)
             closure = set(closure_by_products(gens, group.degree))
@@ -383,7 +383,7 @@ def _expected_reaims(group, tau):
     among the earlier such g generate."""
     candidates, least = size_path_leaves(tau), tau.min_label
     gens, closure, expected = [group.identity], {group.identity.images}, []
-    for g in sorted(group.elements):
+    for g in group.elements:
         if g(least) in candidates and g.images not in closure:
             expected.append(g)
             if act(g, tau) == tau:

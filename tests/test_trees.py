@@ -7,10 +7,9 @@ import pytest
 
 from capsid.perms import Permutation, parse_permutation, trivial_group
 from capsid.series import fixed_tree_count
-from capsid.stabilizers import fixes
+from capsid.stabilizers import fixes, pointer_view
 from capsid.trees import (AssemblyTree, _parse_nested, _parse_tokens, act,
-                          enumerate_all_trees, parse_tree, pointer_view,
-                          set_partitions)
+                          enumerate_all_trees, parse_tree, set_partitions)
 
 from oracles import (_random_tree_text, brute_stabilizer, compose,
                      count_trees_by_partition_recursion,
@@ -188,10 +187,12 @@ def test_canonical_equality():
 
 
 def test_hundred_thousand_leaf_caterpillar():
-    # trees store no label sets and no tree path recurses, hashing
-    # included, so a caterpillar this deep costs memory linear in its leaves
+    # trees store no label sets and no tree path recurses, equality and
+    # hashing included, so a caterpillar this deep costs memory linear in
+    # its leaves
     n = 100_000
-    text = "".join(f"({leaf}," for leaf in range(1, n)) + str(n) + ")" * (n - 1)
+    head, tail = "".join(f"({leaf}," for leaf in range(1, n)), ")" * (n - 1)
+    text = head + str(n) + tail
     tracemalloc.start()
     try:
         tau = parse_tree(text)
@@ -205,6 +206,10 @@ def test_hundred_thousand_leaf_caterpillar():
     assert hash(tau) == hash(again)
     assert len({tau, again}) == 1
     assert peak < 200 * 2 ** 20
+    # the same caterpillar but for its deepest vertex, (n-1, n+1)
+    other = parse_tree(head + str(n + 1) + tail)
+    assert tau != other and again != other
+    assert len({tau, again, other}) == 2
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 4), (4, 26),
