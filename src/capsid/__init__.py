@@ -26,10 +26,9 @@ _EXPORTS = {
                      "format_distribution", "pathway_probabilities",
                      "pathway_size_distribution", "tbar"), "pathways"),
     **dict.fromkeys(("PermGroup", "Permutation", "SubgroupClass",
-                     "builtin_group", "close_generators", "cyclic_group",
-                     "group_from_text", "icosahedral_group", "klein_group",
-                     "parse_permutation", "replicated_action",
-                     "trivial_group"), "perms"),
+                     "close_generators", "cyclic_group", "group_from_text",
+                     "icosahedral_group", "klein_group", "parse_permutation",
+                     "replicated_action", "trivial_group"), "perms"),
     **dict.fromkeys(("base_tree_series", "fixed_tree_count",
                      "fixed_tree_series"), "series"),
     **dict.fromkeys(("StabilizerResult", "TraversalAudit", "TreePointerView",

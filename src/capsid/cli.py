@@ -17,8 +17,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
 
 # each command imports the other modules it needs, so a run loads only those
-from .perms import PermGroup, builtin_group, group_from_text, \
-    icosahedral_group, parse_permutation, replicated_action
+from .perms import PermGroup, cyclic_group, group_from_text, \
+    icosahedral_group, klein_group, parse_permutation, replicated_action, \
+    trivial_group
 
 if TYPE_CHECKING:
     from .fixed_trees import BlockSystem
@@ -35,10 +36,27 @@ DEFAULT_MAX_GROUP_ORDER = 120
 
 
 def load_group(name_or_path: str) -> PermGroup:
-    """Resolve --group arguments: a builtin name or a path to a group file."""
-    if name_or_path in ("klein4", "icosahedral") or \
-            name_or_path.startswith(("cyclic:", "trivial:")):
-        return builtin_group(name_or_path)
+    """Resolve a --group argument.  Four forms are builtin: ``klein4``,
+    ``icosahedral``, ``cyclic:k`` (the cyclic group of order k acting
+    regularly) and ``trivial:n`` (the identity on n points), where k and n
+    are decimal digits and at least 1.  Any other text is a path to a group
+    file."""
+    if name_or_path == "klein4":
+        return klein_group()
+    if name_or_path == "icosahedral":
+        return icosahedral_group()
+    if name_or_path.startswith(("cyclic:", "trivial:")):
+        family, size = name_or_path.split(":", 1)
+        try:
+            if not size.isdecimal():
+                raise ValueError
+            k = int(size)  # past the int-conversion limit, a ValueError too
+        except ValueError:
+            raise ValueError(
+                f"malformed builtin group name: {name_or_path!r}") from None
+        if k < 1:
+            raise ValueError(f"group size in {name_or_path!r} must be >= 1")
+        return cyclic_group(k) if family == "cyclic" else trivial_group(k)
     path = Path(name_or_path)
     if path.is_file():
         return group_from_text(path.read_text())

@@ -453,8 +453,6 @@ def trivial_group(degree: int) -> PermGroup:
 def cyclic_group(k: int) -> PermGroup:
     if k < 1:
         raise ValueError("cyclic group size must be >= 1")
-    if k == 1:
-        return trivial_group(1)
     rho = Permutation(list(range(2, k + 1)) + [1])
     return close_generators([rho], k)
 
@@ -470,32 +468,6 @@ def icosahedral_group() -> PermGroup:
     a5 = close_generators(
         [parse_permutation("(1 2 3 4 5)", 5), parse_permutation("(1 2 3)", 5)], 5)
     return a5.regular_action()
-
-
-def builtin_group(name: str) -> PermGroup:
-    """Resolve a builtin group name: klein4, icosahedral, cyclic:k, trivial:n."""
-    if name == "klein4":
-        return klein_group()
-    if name == "icosahedral":
-        return icosahedral_group()
-    if name.startswith("cyclic:"):
-        return cyclic_group(_parse_size(name))
-    if name.startswith("trivial:"):
-        return trivial_group(_parse_size(name))
-    raise ValueError(f"unknown builtin group name: {name!r}")
-
-
-def _parse_size(name: str) -> int:
-    size = name.split(":", 1)[1]
-    try:
-        if not size.isdecimal():
-            raise ValueError
-        k = int(size)  # past the int-conversion limit, a ValueError too
-    except ValueError:
-        raise ValueError(f"malformed builtin group name: {name!r}") from None
-    if k < 1:
-        raise ValueError(f"group size in {name!r} must be >= 1")
-    return k
 
 
 def group_from_text(text: str) -> PermGroup:

@@ -10,11 +10,13 @@ children.  A leaf follows its g-pointer; an internal vertex
 succeeds when its children's images share a common parent with as many
 children, which is then its own image.  Each pointer is followed at most
 once, so one run costs linear time in the number of leaves and needs no
-recursion; the traversal audit makes that checkable.  The stabilizer
-builds one pointer structure per call, re-aims it at each element it
-tests, and tests only the elements that send the least leaf to a leaf whose
-root path has the same subtree sizes, found by one walk down from the root;
-the closure of the fixers found is a set of image tuples grown in place.
+recursion; the traversal audit makes that checkable.  A view is built one
+way, and ``aim`` points it in place at a permutation: the constructor
+calls it, and the stabilizer builds one view per call and re-aims it at
+each element it tests.  It tests only the elements that send the least
+leaf to a leaf whose root path has the same subtree sizes, found by one
+walk down from the root; the closure of the fixers found is a set of image
+tuples grown in place.
 """
 
 from __future__ import annotations
@@ -29,19 +31,20 @@ class TreePointerView:
     """The pointer structure for one (tree, permutation) pair, as flat lists
     indexed by vertex.
 
-    The shape, shared with every view that ``with_permutation`` makes from
-    this one: vertices are numbered in postorder, so the root is last and
-    the subtree at v is the range ``first[v]..v``; ``children[v]`` and
-    ``parent[v]`` (None at the root) are the child and parent pointers;
-    labels are kept once, in ``leaves``, which maps each leaf label to its
-    vertex, and ``max_label`` is the largest of them.  The aim, each view's
-    own: the g-pointer ``g_target[v]`` of a leaf labeled u is the leaf
-    labeled g(u), or None when g(u) is not a leaf (and at every internal
-    vertex), and each pointer has a traversal counter: ``child_count[c]``
-    for the pointer from c's parent to c, ``parent_count[c]`` for c's parent
-    pointer and ``g_count[v]`` for a leaf's g-pointer.  The counters make a
-    view single-use and single-threaded; take a fresh view, built or
-    re-aimed, for each run.
+    The shape, fixed when the view is built: vertices are numbered in
+    postorder, so the root is last and the subtree at v is the range
+    ``first[v]..v``; ``children[v]`` and ``parent[v]`` (None at the root)
+    are the child and parent pointers; labels are kept once, in ``leaves``,
+    which maps each leaf label to its vertex, and ``max_label`` is the
+    largest of them.  The aim, set by ``aim(g)``, which the constructor
+    calls and which re-points the view in place: the g-pointer
+    ``g_target[v]`` of a leaf labeled u is the leaf labeled g(u), or None
+    when g(u) is not a leaf (and at every internal vertex), and each pointer
+    has a traversal counter: ``child_count[c]`` for the pointer from c's
+    parent to c, ``parent_count[c]`` for c's parent pointer and
+    ``g_count[v]`` for a leaf's g-pointer.  The counters make a view
+    single-use and single-threaded; build or re-aim the view before each
+    run.
     """
 
     def __init__(self, tau: AssemblyTree, g: Permutation):
@@ -75,17 +78,11 @@ class TreePointerView:
             done.append(v)
         self.root, self.children, self.parent, self.first = n - 1, children, parent, first
         self.leaves, self.max_label = leaves, max(leaves)
-        self._aim(g)
+        self.aim(g)
 
-    def with_permutation(self, g: Permutation) -> "TreePointerView":
-        """A fresh view of the same tree under g; this view is untouched."""
-        view = object.__new__(TreePointerView)
-        view.root, view.children, view.parent, view.first = (
-            self.root, self.children, self.parent, self.first)
-        view.leaves, view.max_label = self.leaves, self.max_label
-        return view._aim(g)
-
-    def _aim(self, g: Permutation) -> "TreePointerView":
+    def aim(self, g: Permutation) -> "TreePointerView":
+        """Point this view's g-pointers at g and zero its counters, in
+        place; returns the view."""
         if g.degree < self.max_label:
             raise ValueError("permutation degree does not cover the leaf labels")
         images, leaves, n = g.images, self.leaves, len(self.parent)
@@ -99,8 +96,7 @@ class TreePointerView:
         return self
 
 
-def pointer_view(tau: AssemblyTree, g: Permutation) -> TreePointerView:
-    return TreePointerView(tau, g)
+pointer_view = TreePointerView
 
 
 class StabilizerResult(NamedTuple):
@@ -213,37 +209,36 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
 
     Scans the group elements in increasing order, skipping those already in
     the closure of the fixing elements found so far and adding each other
-    element that fixes tau, tested on a view re-aimed from one shape built
-    per call.  A fixer maps the least leaf's root path onto its image's
-    with equal subtree sizes, so only the elements that send the least leaf
-    to a leaf found by one walk down those sizes from the root are tested,
-    and the generators are those of the plain scan.  The closure starts as
-    the identity's image tuple; each new generator grows it in place by
-    right multiplication, and the group is built once.
+    element that fixes tau, tested on one view built per call and re-aimed
+    at each element.  A fixer maps the least leaf's root path onto its
+    image's with equal subtree sizes, so only the elements that send the
+    least leaf to a leaf found by one walk down those sizes from the root
+    are tested, and the generators are those of the plain scan.  The closure
+    starts as the identity's image tuple; each new generator grows it in
+    place by right multiplication, and the group is built once.
     """
     try:
-        base = TreePointerView(tau, group.identity)
+        view = TreePointerView(tau, group.identity)
     except ValueError:  # the view's degree check: a label exceeds the degree
         raise ValueError("leaf set mismatch: labels exceed the group degree") from None
-    leaves = base.leaves
+    leaves = view.leaves
     # the group acts on the leaf set iff the leaf set is a union of orbits
     if sum(len(o) for o in group.orbits() if leaves.keys() >= set(o)) != len(leaves):
         raise ValueError("leaf set mismatch: the group does not act on the leaf set")
 
-    parent, first, children = base.parent, base.first, base.children
+    root, parent, first, children = view.root, view.parent, view.first, view.children
     sizes, v = [], leaves[tau.min_label]  # vertex counts up the least leaf's path
-    while v != base.root:
+    while v != root:
         sizes.append(v - first[v])
         v = parent[v]
-    level = [base.root]  # the vertices whose root path has the sizes read so far
+    level = [root]  # the vertices whose root path has the sizes read so far
     for size in reversed(sizes):
         level = [c for u in level for c in children[u] if c - first[c] == size]
     candidates, m = set(level), tau.min_label - 1
     gens, closure = [group.identity], {group.identity.images}
     for g in [g for g in group.elements if leaves.get(g.images[m]) in candidates]:
         if g.images not in closure:
-            view = base.with_permutation(g)
-            if locate_image(view, view.root) == view.root:
+            if locate_image(view.aim(g), root) == root:
                 gens.append(g)
                 _close_images(closure, gens[1:])  # gens[0] is the identity
     index = group._elem_index()

@@ -210,9 +210,10 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from capsid import *", namespace)
     del namespace["__builtins__"]
-    assert len(namespace) == 42
+    assert len(namespace) == 41
     assert namespace.keys() == capsid._EXPORTS.keys()
     assert namespace["stabilizer"] is capsid.stabilizers.stabilizer
+    assert namespace["pointer_view"] is namespace["TreePointerView"]
 
 
 def test_an_unknown_attribute_is_an_attribute_error():

@@ -14,7 +14,7 @@ import pytest
 
 import capsid
 from capsid.cli import load_group, main
-from capsid.perms import builtin_group, replicated_action
+from capsid.perms import replicated_action
 
 from oracles import tree_counts_by_recurrence
 
@@ -375,7 +375,7 @@ def test_tree_listings_are_pinned(capsys, tmp_path, argv, copies, digest):
     argv = list(argv)
     if copies > 1:
         # the group acting on disjoint copies of its points, as a group file
-        group = replicated_action(builtin_group(argv[-1]), copies)
+        group = replicated_action(load_group(argv[-1]), copies)
         path = tmp_path / "replicated.group"
         path.write_text(f"degree {group.degree}\n" + "".join(
             g.cycle_string() + "\n" for g in group.generators))
@@ -389,6 +389,34 @@ def test_load_group_from_file(tmp_path, klein):
     path = tmp_path / "klein.group"
     path.write_text("degree 4\n(1 2)(3 4)\n(1 3)(2 4)\n")
     assert load_group(str(path)) == klein
+
+
+def test_builtin_groups():
+    assert load_group("klein4").order == 4
+    assert load_group("cyclic:5").order == 5
+    assert load_group("trivial:7").degree == 7
+    assert load_group("icosahedral").order == 60
+    with pytest.raises(ValueError):
+        load_group("dihedral:4")
+    # sizes are decimal digits only, as in group files and tree text
+    for name in ("cyclic:x", "cyclic:1_0", "cyclic:+3", "cyclic: 3",
+                 "trivial:1_0", "cyclic:" + "1" * 5000):
+        with pytest.raises(ValueError, match="malformed builtin group name"):
+            load_group(name)
+
+
+def test_a_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch,
+                                                      klein):
+    monkeypatch.chdir(tmp_path)
+    Path("klein4").write_text("degree 4\n(1 2 3 4)\n")
+    assert load_group("klein4") == klein
+
+
+def test_a_colon_name_outside_the_builtin_families_is_a_file(tmp_path,
+                                                             monkeypatch, klein):
+    monkeypatch.chdir(tmp_path)
+    Path("dihedral:4").write_text("degree 4\n(1 2)(3 4)\n(1 3)(2 4)\n")
+    assert load_group("dihedral:4") == klein
 
 
 def test_icosa_report_smoke(capsys):

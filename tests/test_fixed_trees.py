@@ -5,7 +5,8 @@ import pytest
 from capsid import fixed_trees, trees
 from capsid.fixed_trees import (construction_recipes, enumerate_block_systems,
                                 generate_fixed_trees)
-from capsid.perms import (PermGroup, builtin_group, close_generators,
+from capsid.cli import load_group
+from capsid.perms import (PermGroup, close_generators, klein_group,
                           parse_permutation, replicated_action, trivial_group)
 from capsid.series import fixed_tree_count
 from capsid.stabilizers import fixes
@@ -166,7 +167,7 @@ def test_listing_matches_the_filtered_enumeration_on_klein4_twice():
     # klein4 on two copies of its points: the (subgroup, seed) levels under
     # an order-2 subgroup recur under the whole group, and order-2
     # subgroups give index-2 translates; about 15 s
-    group = replicated_action(builtin_group("klein4"), 2)
+    group = replicated_action(klein_group(), 2)
     listed = sorted(t.to_text() for t in generate_fixed_trees(group))
     brute = sorted(t.to_text() for t in enumerate_all_trees(range(1, 9))
                    if all(act(g, t) == t for g in group.generators))
@@ -191,7 +192,7 @@ def test_each_level_is_built_once_per_run(name, count, monkeypatch):
     # building each once keeps the recipe enumerations near the number of
     # distinct levels, far below the number of recipes that use them, and
     # each group's normalizers are taken once per run, not once per level
-    group = replicated_action(builtin_group(name), 3)
+    group = replicated_action(load_group(name), 3)
     calls = 0
     normalized: Counter = Counter()
     recipes, normalizer = fixed_trees._recipes, PermGroup.normalizer
@@ -225,7 +226,7 @@ def test_benchmark_listings_are_fixed_and_round_trip(name, count):
     # the trees of one run share one leaf object per point; within a tree
     # every vertex is a distinct object, since sibling leaf sets are
     # disjoint (the pointer view numbers vertices from a stack, not by id())
-    group = replicated_action(builtin_group(name), 3)
+    group = replicated_action(load_group(name), 3)
     trees = list(generate_fixed_trees(group))
     assert len(trees) == len(set(trees)) == count
     for tau in trees:

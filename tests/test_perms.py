@@ -4,9 +4,9 @@ from collections import Counter
 
 import pytest
 
-from capsid.perms import (PermGroup, Permutation, builtin_group, close_generators,
-                          group_from_text, parse_permutation,
-                          replicated_action, trivial_group)
+from capsid.perms import (PermGroup, Permutation, close_generators,
+                          group_from_text, icosahedral_group, klein_group,
+                          parse_permutation, replicated_action, trivial_group)
 from oracles import (brute_subgroups, closure_by_products, compose,
                      element_order)
 
@@ -83,7 +83,7 @@ def test_close_generators_matches_closure_by_products(klein, ico):
     cases = [klein.generators, (Permutation.identity(4), *klein.generators),
              ico.generators, s5.regular_action().generators,
              replicated_action(ico, 3).generators,
-             builtin_group("trivial:1").generators,
+             trivial_group(1).generators,
              # on one point, itemgetter gives a bare int, not a tuple
              (Permutation.identity(1),)]
     for gens in cases:
@@ -193,13 +193,13 @@ def _generated(degree: int, *cycles: str):
 
 
 CENSUS_GROUPS = {
-    "klein4": lambda: builtin_group("klein4"),
+    "klein4": klein_group,
     "s4": lambda: _generated(4, "(1 2 3 4)", "(1 2)"),
     "d4_on_8": lambda: _generated(8, "(1 2 3 4)(5 6 7 8)", "(2 4)(5 8)(6 7)"),
     "s4_regular": lambda: _generated(4, "(1 2 3 4)", "(1 2)").regular_action(),
     "s5": lambda: _generated(5, "(1 2 3 4 5)", "(1 2)"),
     "s5_regular": lambda: _generated(5, "(1 2 3 4 5)", "(1 2)").regular_action(),
-    "icosahedral": lambda: builtin_group("icosahedral"),
+    "icosahedral": icosahedral_group,
 }
 
 
@@ -354,20 +354,6 @@ def test_replicated_action(klein):
     assert [p.images for p in tripled.elements] == \
         [tuple(c * 4 + x for c in range(3) for x in p.images)
          for p in klein.elements]
-
-
-def test_builtin_groups():
-    assert builtin_group("klein4").order == 4
-    assert builtin_group("cyclic:5").order == 5
-    assert builtin_group("trivial:7").degree == 7
-    assert builtin_group("icosahedral").order == 60
-    with pytest.raises(ValueError):
-        builtin_group("dihedral:4")
-    # sizes are decimal digits only, as in group files and tree text
-    for name in ("cyclic:x", "cyclic:1_0", "cyclic:+3", "cyclic: 3",
-                 "trivial:1_0", "cyclic:" + "1" * 5000):
-        with pytest.raises(ValueError, match="malformed builtin group name"):
-            builtin_group(name)
 
 
 def test_group_from_text(klein):

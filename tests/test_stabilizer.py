@@ -263,19 +263,17 @@ def test_reaimed_view_matches_a_fresh_view():
         n = rng.randint(1, 9)
         tau = random_tree(rng, range(1, n + 1))
         g = random_permutation(rng, n)
-        base = pointer_view(tau, Permutation.identity(n))
-        base_targets = list(base.g_target)
-        for v in range(len(base.parent)):
-            view = base.with_permutation(g)
+        view = pointer_view(tau, Permutation.identity(n))
+        for v in range(len(view.parent)):
+            # each run leaves counters set, which the next aim must zero
+            assert view.aim(g) is view
             assert view.child_count == view.parent_count == view.g_count \
-                == [0] * len(base.parent)
+                == [0] * len(view.parent)
             assert locate_image(view, v) == locate_image(pointer_view(tau, g), v)
-        view, fresh = base.with_permutation(g), pointer_view(tau, g)
-        locate_image(view, view.root)
+        fresh = pointer_view(tau, g)
+        locate_image(view.aim(g), view.root)
         locate_image(fresh, fresh.root)
         assert pointer_traversal_audit(view) == pointer_traversal_audit(fresh)
-        assert base.g_target == base_targets
-        assert not any(base.child_count + base.parent_count + base.g_count)
 
 
 def _recursive_postorder(tau):
@@ -310,9 +308,9 @@ def test_pointer_view_matches_a_recursive_numbering():
 
 
 def test_reaimed_view_checks_the_degree():
-    base = pointer_view(parse_tree("((1,2),3,4)"), Permutation.identity(4))
+    view = pointer_view(parse_tree("((1,2),3,4)"), Permutation.identity(4))
     with pytest.raises(ValueError, match="does not cover the leaf labels"):
-        base.with_permutation(Permutation.identity(3))
+        view.aim(Permutation.identity(3))
 
 
 def _symmetric_tree(group, rng):
@@ -365,16 +363,18 @@ def test_candidate_test_on_icosahedral_trees(ico):
 
 def test_candidate_test_skips_non_fixers(ico, monkeypatch):
     calls = []
-    reaim = TreePointerView.with_permutation
+    aim = TreePointerView.aim
 
     def counting(view, g):
         calls.append(g)
-        return reaim(view, g)
+        return aim(view, g)
 
-    monkeypatch.setattr(TreePointerView, "with_permutation", counting)
+    monkeypatch.setattr(TreePointerView, "aim", counting)
     tau = random_tree(random.Random(73), range(1, 61))
     result = stabilizer(ico, tau)
-    assert len(calls) < ico.order - result.order
+    # the first aim is the constructor's, at the identity
+    assert calls[0] == ico.identity
+    assert len(calls) - 1 < ico.order - result.order
 
 
 def _expected_reaims(group, tau):
@@ -396,13 +396,13 @@ def test_reaims_are_exactly_the_size_path_candidates(ico, monkeypatch):
     # a weaker candidate filter re-aims at more elements and a stronger one
     # at fewer, so either changes the list
     calls = []
-    reaim = TreePointerView.with_permutation
+    aim = TreePointerView.aim
 
     def counting(view, g):
         calls.append(g)
-        return reaim(view, g)
+        return aim(view, g)
 
-    monkeypatch.setattr(TreePointerView, "with_permutation", counting)
+    monkeypatch.setattr(TreePointerView, "aim", counting)
     rng = random.Random(83)
     cases = [(ico, random_tree(rng, range(1, 61))) for _ in range(20)]
     cases += [(ico, _symmetric_tree(ico, rng)) for _ in range(20)]
@@ -413,4 +413,6 @@ def test_reaims_are_exactly_the_size_path_candidates(ico, monkeypatch):
     for group, tau in cases:
         calls.clear()
         stabilizer(group, tau)
-        assert calls == _expected_reaims(group, tau), tau.to_text()
+        # the constructor aims the view at the identity first
+        assert calls == [group.identity, *_expected_reaims(group, tau)], \
+            tau.to_text()
