@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # every export and the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("BlockSystem", "FixedTreeDiagnostics", "FixedTreeRecipe",
+    **dict.fromkeys(("FixedTreeDiagnostics", "FixedTreeRecipe",
                      "construction_recipes", "enumerate_block_systems",
                      "generate_fixed_trees"),
                     "fixed_trees"),

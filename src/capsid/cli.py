@@ -14,15 +14,12 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 # each command imports the other modules it needs, so a run loads only those
 from .perms import PermGroup, cyclic_group, group_from_text, \
     icosahedral_group, klein_group, parse_permutation, replicated_action, \
     trivial_group
-
-if TYPE_CHECKING:
-    from .fixed_trees import BlockSystem
 
 # listings go to stdout this many lines per write: one call per block rather
 # than two per line when stdout is unbuffered, and a streamed listing holds
@@ -47,13 +44,15 @@ def load_group(name_or_path: str) -> PermGroup:
         return icosahedral_group()
     if name_or_path.startswith(("cyclic:", "trivial:")):
         family, size = name_or_path.split(":", 1)
-        try:
-            if not size.isdecimal():
-                raise ValueError
-            k = int(size)  # past the int-conversion limit, a ValueError too
-        except ValueError:
-            raise ValueError(
-                f"malformed builtin group name: {name_or_path!r}") from None
+        if not size.isdecimal():
+            raise ValueError(f"malformed builtin group name: {name_or_path!r}")
+        # compared as text, so that int() never meets the interpreter's
+        # digit cap, which main lifts and a library caller does not
+        digits, largest = size.lstrip("0"), str(sys.maxsize)
+        if (len(digits), digits) > (len(largest), largest):
+            raise ValueError(f"group size in '{family}:<{len(digits)} digits>' "
+                             f"must be <= {largest}")
+        k = int(digits or "0")
         if k < 1:
             raise ValueError(f"group size in {name_or_path!r} must be >= 1")
         return cyclic_group(k) if family == "cyclic" else trivial_group(k)
@@ -93,9 +92,9 @@ def _write_lines(lines: Iterable[str]) -> None:
         sys.stdout.write("\n".join(block) + "\n")
 
 
-def _blocks_text(system: BlockSystem) -> str:
+def _blocks_text(system: tuple[frozenset, ...]) -> str:
     return " ".join("{" + ",".join(str(x) for x in sorted(b)) + "}"
-                    for b in system.blocks)
+                    for b in system)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -193,7 +192,7 @@ def _cmd_blocks(args, max_order) -> int:
     group = _bounded(load_group(args.group), max_order)
     systems = enumerate_block_systems(group)
     if args.format == "csv":
-        rows = [(i + 1, len(s.blocks), _blocks_text(s).replace(" ", "|"))
+        rows = [(i + 1, len(s), _blocks_text(s).replace(" ", "|"))
                 for i, s in enumerate(systems)]
         sys.stdout.write(_table(rows, ("system", "block_count", "blocks"), "csv"))
     else:

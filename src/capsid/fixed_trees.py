@@ -42,24 +42,22 @@ from .trees import (ENUMERATION_SIZE_BOUND, AssemblyTree, _act, _node,
 LISTING_BOUND = 10 ** 6
 
 
-class BlockSystem(NamedTuple):
-    """A partition of the point set into blocks, closed under the action."""
-    blocks: tuple[frozenset, ...]
-
-    def sort_key(self):
-        return (len(self.blocks), tuple(tuple(sorted(b)) for b in self.blocks))
-
-
-def _make_system(blocks) -> BlockSystem:
+def _make_system(blocks) -> tuple[frozenset, ...]:
     blocks = tuple(sorted((frozenset(b) for b in blocks), key=min))
     total = sum(len(b) for b in blocks)
     if len(frozenset(itertools.chain.from_iterable(blocks))) != total:
         raise ValueError("blocks overlap")
-    return BlockSystem(blocks)
+    return blocks
 
 
-def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
-    """All compatible block systems for a simple action, each exactly once.
+def _system_order(system: tuple[frozenset, ...]):
+    return (len(system), tuple(tuple(sorted(b)) for b in system))
+
+
+def enumerate_block_systems(group: PermGroup) -> list[tuple[frozenset, ...]]:
+    """All compatible block systems for a simple action, each exactly once:
+    partitions of the point set closed under the action, each a tuple of
+    blocks sorted by least point.
 
     The single block, plus for each construction recipe the left-coset
     translates of each part's seed.
@@ -78,7 +76,7 @@ def enumerate_block_systems(group: PermGroup) -> list[BlockSystem]:
         if system in systems:
             raise RuntimeError("two construction recipes gave one block system")
         systems.add(system)
-    return sorted(systems, key=BlockSystem.sort_key)
+    return sorted(systems, key=_system_order)
 
 
 # -- construction recipes and the recursive generator ---------------------

@@ -4,7 +4,7 @@ Groups are stored with their full element set; everything is exact and
 deterministic.  Permutations are composed only as image tuples, inside
 the multiplication table and the closure, under one convention: the product
 of p and q is the map x -> p(q(x)), so the right factor acts first, and
-``_mul_table()[i][j]`` is the index of that product for ``elements[i]`` and
+``_mul_table[i][j]`` is the index of that product for ``elements[i]`` and
 ``elements[j]``.
 
 Subgroup work (census, conjugacy classes, normalizers, coset
@@ -21,7 +21,8 @@ from __future__ import annotations
 import operator
 import re
 from collections import Counter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -138,15 +139,13 @@ class PermGroup:
     identity is always first), and that canonical order is relied on for
     deterministic coset representatives, regular actions, and output.
 
-    Instances are immutable after construction; the private attributes only
-    cache derived data.  Use :func:`close_generators` to build one.  Every
-    group is generated by its ``generators``: a subgroup the package derives
-    (census nodes, normalizers, stabilizer groups) takes its own sorted
-    elements as its generators.
+    Instances are immutable after construction; the element index, the
+    multiplication table, the inverses, the orbits and the subgroup census
+    are computed on first read and kept.  Use :func:`close_generators` to
+    build one.  Every group is generated by its ``generators``: a subgroup
+    the package derives (census nodes, normalizers, stabilizer groups) takes
+    its own sorted elements as its generators.
     """
-
-    __slots__ = ("degree", "generators", "elements", "_eset", "_index",
-                 "_table", "_inverse", "_subgroups", "_classes", "_orbits")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]):
@@ -159,12 +158,6 @@ class PermGroup:
         if any(len(p.images) != degree for p in self.generators + self.elements):
             raise ValueError("degree mismatch inside group")
         self._eset = frozenset(map(_images, self.elements))
-        self._index: Optional[dict] = None
-        self._table: Optional[list] = None
-        self._inverse: Optional[list] = None
-        self._subgroups: Optional[tuple] = None
-        self._classes: Optional[tuple] = None
-        self._orbits: Optional[list] = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -191,42 +184,39 @@ class PermGroup:
 
     # -- index machinery (internal) ---------------------------------------
 
+    @cached_property
     def _elem_index(self) -> dict:
-        if self._index is None:
-            self._index = {p.images: i for i, p in enumerate(self.elements)}
-        return self._index
+        return {p.images: i for i, p in enumerate(self.elements)}
 
+    @cached_property
     def _mul_table(self) -> list[list[int]]:
         """table[i][j] = index of elements[i] * elements[j], looked up by the
         images of a base: points whose images tell every element apart."""
-        if self._table is None:
-            imgs = [p.images for p in self.elements]
-            base, seen = [], 1
-            for x in range(self.degree):
-                if seen == len(imgs):
-                    break
-                trial = base + [x]
-                split = len({tuple(a[y] for y in trial) for a in imgs})
-                if split > seen:
-                    base, seen = trial, split
-            base = base or [0]  # the trivial group needs no base point
-            images_on_base = operator.itemgetter(*base)
-            key = {images_on_base(a): i for i, a in enumerate(imgs)}
-            # (a * b) sends base point x to a[b[x] - 1]
-            compose = [operator.itemgetter(*(b[x] - 1 for x in base)) for b in imgs]
-            self._table = [[key[right(a)] for right in compose] for a in imgs]
-        return self._table
+        imgs = [p.images for p in self.elements]
+        base, seen = [], 1
+        for x in range(self.degree):
+            if seen == len(imgs):
+                break
+            trial = base + [x]
+            split = len({tuple(a[y] for y in trial) for a in imgs})
+            if split > seen:
+                base, seen = trial, split
+        base = base or [0]  # the trivial group needs no base point
+        images_on_base = operator.itemgetter(*base)
+        key = {images_on_base(a): i for i, a in enumerate(imgs)}
+        # (a * b) sends base point x to a[b[x] - 1]
+        compose = [operator.itemgetter(*(b[x] - 1 for x in base)) for b in imgs]
+        return [[key[right(a)] for right in compose] for a in imgs]
 
+    @cached_property
     def _inv_vector(self) -> list[int]:
-        if self._inverse is None:
-            self._inverse = [row.index(0) for row in self._mul_table()]
-        return self._inverse
+        return [row.index(0) for row in self._mul_table]
 
     def _indices(self, sub: "PermGroup") -> frozenset[int]:
         """The element indices of ``sub`` inside self."""
         if not sub.is_subgroup_of(self):
             raise ValueError("not a subgroup of the ambient group")
-        idx = self._elem_index()
+        idx = self._elem_index
         return frozenset(idx[p.images] for p in sub.elements)
 
     def _subgroup_from_indices(self, indices: Iterable[int]) -> "PermGroup":
@@ -237,18 +227,21 @@ class PermGroup:
 
     # -- orbits and action properties --------------------------------------
 
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        seen: set[int] = set()
+        orbits = []
+        for x in range(self.degree):
+            if x + 1 not in seen:
+                orbit = {p.images[x] for p in self.elements}
+                seen |= orbit
+                orbits.append(tuple(sorted(orbit)))
+        return tuple(orbits)
+
     def orbits(self) -> list[tuple[int, ...]]:
         """Partition of {1..degree} into minimal invariant subsets,
         ordered by minimum point: each orbit is the images of its least
         point under every element, whatever generators the group keeps."""
-        if self._orbits is None:
-            seen: set[int] = set()
-            self._orbits = []
-            for x in range(self.degree):
-                if x + 1 not in seen:
-                    orbit = {p.images[x] for p in self.elements}
-                    seen |= orbit
-                    self._orbits.append(tuple(sorted(orbit)))
         return list(self._orbits)
 
     def orbits_within(self, points: Iterable[int]) -> list[tuple[int, ...]]:
@@ -268,19 +261,26 @@ class PermGroup:
     # -- subgroup enumeration ----------------------------------------------
 
     def all_subgroups(self) -> list["PermGroup"]:
-        """Every subgroup exactly once, canonically ordered by (order, elements).
+        """Every subgroup exactly once, canonically ordered by (order, elements)."""
+        return list(self._census[0])
+
+    def conjugacy_classes_of_subgroups(self) -> list["SubgroupClass"]:
+        """Partition of all subgroups into conjugacy classes, in the order of
+        their representatives; each representative is its class's
+        canonically least member."""
+        return list(self._census[1])
+
+    @cached_property
+    def _census(self) -> tuple[tuple["PermGroup", ...],
+                               tuple["SubgroupClass", ...]]:
+        """(every subgroup, every conjugacy class of subgroups).
 
         Joins one member of each conjugacy class with every cyclic subgroup,
         which reaches every class as <H, C>^x = <H^x, C^x>, and files all
         conjugates of each new join at once, so the classes come out too.
         """
-        if self._subgroups is None:
-            self._compute_subgroups()
-        return list(self._subgroups)
-
-    def _compute_subgroups(self) -> None:
-        table = self._mul_table()
-        inv = self._inv_vector()
+        table = self._mul_table
+        inv = self._inv_vector
         known: set[frozenset] = set()  # every subgroup filed so far
         classes: list[set] = []  # conjugacy classes, as parts of known
 
@@ -312,7 +312,7 @@ class PermGroup:
         # is the canonical (order, element images) order
         nodes = sorted(known, key=lambda fs: (len(fs), sorted(fs)))
         rank = {fs: i for i, fs in enumerate(nodes)}
-        subs = self._subgroups = tuple(map(self._subgroup_from_indices, nodes))
+        subs = tuple(map(self._subgroup_from_indices, nodes))
         class_ranks = sorted(sorted(map(rank.get, cls)) for cls in classes)
         class_of = {r: c for c, ranks in enumerate(class_ranks) for r in ranks}
         filed = []
@@ -322,21 +322,13 @@ class PermGroup:
                             if nodes[r] < nodes[rep])
             filed.append(SubgroupClass(subs[rep], tuple(subs[r] for r in ranks),
                                        tuple(sorted(below.items()))))
-        self._classes = tuple(filed)
-
-    def conjugacy_classes_of_subgroups(self) -> list["SubgroupClass"]:
-        """Partition of all subgroups into conjugacy classes, in the order of
-        their representatives; each representative is its class's
-        canonically least member."""
-        if self._classes is None:
-            self._compute_subgroups()
-        return list(self._classes)
+        return subs, tuple(filed)
 
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """Largest subgroup of self in which ``sub`` is normal."""
         fs = self._indices(sub)
-        table = self._mul_table()
-        inv = self._inv_vector()
+        table = self._mul_table
+        inv = self._inv_vector
         keep = [g for g in range(self.order)
                 if frozenset(table[table[g][s]][inv[g]] for s in fs) == fs]
         return self._subgroup_from_indices(keep)
@@ -346,7 +338,7 @@ class PermGroup:
         lexicographically least element of its coset, in that order: the
         identity, the least element of all, comes first."""
         hs = self._indices(sub)
-        table = self._mul_table()
+        table = self._mul_table
         covered: set[int] = set()
         reps = []
         for i in range(self.order):
@@ -362,7 +354,7 @@ class PermGroup:
         """The group acting on its own canonical element list by left
         translation: a permutation group on ``order`` points, isomorphic to
         self, acting simply with a single orbit."""
-        table = self._mul_table()
+        table = self._mul_table
         n = self.order
         perms = {p.images: Permutation(table[i][x] + 1 for x in range(n))
                  for i, p in enumerate(self.elements)}

@@ -241,6 +241,6 @@ def stabilizer(group: PermGroup, tau: AssemblyTree) -> StabilizerResult:
             if locate_image(view.aim(g), root) == root:
                 gens.append(g)
                 _close_images(closure, gens[1:])  # gens[0] is the identity
-    index = group._elem_index()
+    index = group._elem_index
     return StabilizerResult(tuple(gens), group._subgroup_from_indices(
         index[a] for a in closure))

@@ -279,7 +279,7 @@ def test_acceptance_07_generator_vs_series(klein, k1, z2_on_6, klein_on_8,
 def test_acceptance_08_block_systems(k1, capsys):
     start = time.perf_counter()
     systems = enumerate_block_systems(k1)
-    blocks = {b for s in systems for b in s.blocks}
+    blocks = {b for s in systems for b in s}
     elapsed = time.perf_counter() - start
     ok = len(systems) == 7 and len(blocks) == 11 and elapsed < 1.0
     with capsys.disabled():

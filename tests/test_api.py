@@ -133,6 +133,29 @@ def test_every_instance_attribute_is_read():
     assert [qualified for qualified, name in stored if name not in read] == []
 
 
+def test_no_init_sets_a_private_attribute_to_none():
+    # derived per-object data is a functools.cached_property, computed on
+    # first read, not a None slot that every reader must test and fill
+    slots = []
+    for path in PACKAGE.glob("*.py"):
+        classes = [node for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)]
+        for cls in classes:
+            inits = [node for node in cls.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "__init__"]
+            none_stores = [node for init in inits for node in ast.walk(init)
+                           if isinstance(node, (ast.Assign, ast.AnnAssign))
+                           and isinstance(node.value, ast.Constant)
+                           and node.value.value is None]
+            slots += [f"{cls.name}.{node.attr}" for store in none_stores
+                      for node in ast.walk(store)  # plain or tuple targets
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self" and node.attr.startswith("_")]
+    assert slots == []
+
+
 def test_every_import_is_used():
     # no linter ships with the project: a name a module imports must appear
     # in it as a name or as the base of an attribute (``module.name``)
@@ -210,7 +233,7 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from capsid import *", namespace)
     del namespace["__builtins__"]
-    assert len(namespace) == 41
+    assert len(namespace) == 40
     assert namespace.keys() == capsid._EXPORTS.keys()
     assert namespace["stabilizer"] is capsid.stabilizers.stabilizer
     assert namespace["pointer_view"] is namespace["TreePointerView"]

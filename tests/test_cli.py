@@ -14,7 +14,7 @@ import pytest
 
 import capsid
 from capsid.cli import load_group, main
-from capsid.perms import replicated_action
+from capsid.perms import close_generators, parse_permutation, replicated_action
 
 from oracles import tree_counts_by_recurrence
 
@@ -355,6 +355,13 @@ def test_output_is_byte_stable(capsys):
     assert first == second
 
 
+def _group_file(tmp_path, group) -> str:
+    path = tmp_path / "group.txt"
+    path.write_text(f"degree {group.degree}\n" + "".join(
+        g.cycle_string() + "\n" for g in group.generators))
+    return str(path)
+
+
 # sha256 of the stdout of each listing the tree-building commands print;
 # taken from the code these pins were written against, so any change to a
 # listing's trees, text or order fails here
@@ -375,13 +382,45 @@ def test_tree_listings_are_pinned(capsys, tmp_path, argv, copies, digest):
     argv = list(argv)
     if copies > 1:
         # the group acting on disjoint copies of its points, as a group file
-        group = replicated_action(load_group(argv[-1]), copies)
-        path = tmp_path / "replicated.group"
-        path.write_text(f"degree {group.degree}\n" + "".join(
-            g.cycle_string() + "\n" for g in group.generators))
-        argv[-1] = str(path)
+        argv[-1] = _group_file(tmp_path, replicated_action(
+            load_group(argv[-1]), copies))
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of each census command: the subgroup census feeds the
+# lattice, the Moebius values, the series, the block systems and N(m), so a
+# change to any of them, or to their order, fails here
+CENSUS_DIGESTS = [
+    (("icosa-report", "--T", "7"),
+     "876d101022ee555dc6ab7ebc8c011496d5d23c9148d40ec58a816c250ebbaa68"),
+    (("pathways", "--group", "S5_REGULAR"),
+     "c519ee3bfd63cf75ea8dab4943b6869659fb208787d99094a23b67a195a10a1b"),
+    (("mobius", "--group", "icosahedral"),
+     "f3a375fa7b86fe1c2ea51c1a0749928b064190d1247e51d04ae019396c28e946"),
+    (("blocks", "--group", "icosahedral"),
+     "f0f59ef71b7568acf2f24b5853fe7a85de13be1943e25fcdfae4f15207f63d08"),
+    (("blocks", "--group", "icosahedral", "--format", "csv"),
+     "fd44635c1faafc95d6096cb7bf9817ce21110753f014a8bcaab248334b1985cf"),
+    (("series", "--group", "icosahedral", "--order", "6", "--egf"),
+     "e3e60e819486a1606a9ae4628abb161a7e04476f18af5e184ff4e919d96c9809"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CENSUS_DIGESTS)
+def test_census_outputs_are_pinned(capsys, tmp_path, argv, digest):
+    argv = list(argv)
+    if "S5_REGULAR" in argv:
+        # the regular action of S5, as a group file
+        s5 = close_generators([parse_permutation("(1 2 3 4 5)", 5),
+                               parse_permutation("(1 2)", 5)], 5)
+        argv[argv.index("S5_REGULAR")] = _group_file(tmp_path,
+                                                     s5.regular_action())
+    code, out, err = run_cli(capsys, *argv)
+    warning = ("warning: no published reference values exist for T != 1\n"
+               if argv[0] == "icosa-report" else "")
+    assert (code, err) == (0, warning)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -400,9 +439,27 @@ def test_builtin_groups():
         load_group("dihedral:4")
     # sizes are decimal digits only, as in group files and tree text
     for name in ("cyclic:x", "cyclic:1_0", "cyclic:+3", "cyclic: 3",
-                 "trivial:1_0", "cyclic:" + "1" * 5000):
+                 "trivial:1_0"):
         with pytest.raises(ValueError, match="malformed builtin group name"):
             load_group(name)
+    # leading zeros are not digits of the size, wherever the digit cap stands
+    assert load_group("cyclic:" + "0" * 5000 + "3").order == 3
+
+
+@pytest.mark.parametrize("family", ["cyclic", "trivial"])
+def test_a_size_too_large_to_build_has_one_diagnostic(capsys, family):
+    # refused before int(), so the library, under the interpreter's digit
+    # cap, and main, which lifts it, report the same error
+    name = f"{family}:" + "1" * 5000
+    message = (f"group size in '{family}:<5000 digits>' must be "
+               f"<= {sys.maxsize}")
+    with pytest.raises(ValueError) as raised:
+        load_group(name)
+    assert str(raised.value) == message
+    assert run_cli(capsys, "mobius", "--group", name) == (
+        1, "", f"error: {message}\n")
+    assert "must be <=" in run_cli(capsys, "mobius", "--group",
+                                   f"{family}:{sys.maxsize + 1}")[2]
 
 
 def test_a_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch,

@@ -20,7 +20,7 @@ def _stream_length(group):
 
 
 def _blocks_as_sets(system):
-    return [set(b) for b in system.blocks]
+    return [set(b) for b in system]
 
 
 def test_seven_block_systems(k1):
@@ -38,7 +38,7 @@ def test_seven_block_systems(k1):
     found = [_blocks_as_sets(s) for s in systems]
     for want in expected:
         assert want in found
-    assert len({b for s in systems for b in s.blocks}) == 11
+    assert len({b for s in systems for b in s}) == 11
 
 
 def test_block_systems_trivial_group():
@@ -52,7 +52,7 @@ def test_block_systems_match_brute_force(k1, klein, z2_on_6, s3_regular, z6,
     assert q8.order == 8 and q8.is_simple_action()
     for group in (k1, klein, z2_on_6, s3_regular, z6, klein_on_8, z2_on_8,
                   trivial_group(4), q8):
-        found = [frozenset(s.blocks) for s in enumerate_block_systems(group)]
+        found = [frozenset(s) for s in enumerate_block_systems(group)]
         assert len(set(found)) == len(found)
         assert set(found) == set(brute_block_systems(group))
 

@@ -44,7 +44,7 @@ def test_composition_convention(s3):
     a = parse_permutation("(1 2)", 3)
     b = parse_permutation("(1 2 3)", 3)
     index = s3.elements.index
-    product = s3.elements[s3._mul_table()[index(a)][index(b)]]
+    product = s3.elements[s3._mul_table[index(a)][index(b)]]
     assert product == parse_permutation("(2 3)", 3)
     assert [product(x) for x in (1, 2, 3)] == [a(b(x)) for x in (1, 2, 3)]
     assert product.images == compose(a.images, b.images)
@@ -168,6 +168,28 @@ def test_conjugacy_classes(klein, ico):
     assert len(members) == 59 == len(set(members))
 
 
+def test_the_census_runs_once_per_group(monkeypatch):
+    # every reader of the census shares the first read's result
+    from capsid import perms
+    from capsid.lattice import build_lattice
+    from capsid.pathways import pathway_size_distribution
+    from capsid.series import fixed_tree_series
+    joins = []
+    join = perms._join_indices
+    monkeypatch.setattr(perms, "_join_indices",
+                        lambda *args: joins.append(args) or join(*args))
+    group = icosahedral_group()
+    assert len(group.all_subgroups()) == 59
+    first_read = len(joins)
+    assert first_read > 0
+    group.conjugacy_classes_of_subgroups()
+    build_lattice(group)
+    fixed_tree_series(group, 4)
+    pathway_size_distribution(group)
+    group.all_subgroups()
+    assert len(joins) == first_read
+
+
 def test_census_when_the_first_point_does_not_separate_elements():
     s4 = close_generators([parse_permutation("(1 2 3 4)", 4),
                            parse_permutation("(1 2)", 4)], 4)
@@ -241,7 +263,7 @@ def test_census_matches_the_brute_force_oracle(name):
 def test_mul_table_matches_composed_images(name):
     group = census_group(name)
     index = {p.images: i for i, p in enumerate(group.elements)}
-    assert group._mul_table() == [
+    assert group._mul_table == [
         [index[compose(a.images, b.images)] for b in group.elements]
         for a in group.elements]
 
