@@ -141,7 +141,6 @@ def _cmd_fixed_trees(args, max_order) -> int:
 
 
 def _cmd_series(args, max_order) -> int:
-    from fractions import Fraction
     from .series import fixed_tree_series
     group = load_group(args.group)
     if args.order < 1:
@@ -149,6 +148,8 @@ def _cmd_series(args, max_order) -> int:
     if group.order > 1:
         _bounded(group, max_order)
     counts = fixed_tree_series(group, args.order)
+    if args.egf:
+        from fractions import Fraction
     rows = []
     for n in range(1, args.order + 1):
         row = (n, n * group.order, counts[n])

@@ -11,12 +11,12 @@ the coset translates of that subtree as children of a new root.  Each
 (subgroup, seed) level is built once per generation run, however many
 parents it recurs under, and its translates once per parent group; both are
 shared by every recipe and tree that uses them, and the top level streams.
-The normalizers of a group's class representatives, which the uniqueness
-filter reads, are likewise computed once per run for each group.
-A run makes one leaf per point, and the trees share those leaves: each
-coset representative of a level but the identity gets one table from labels
-to the leaves of their images, through which every subtree of the level is
-translated, and the identity's translate is the subtree itself.
+The normalizers and coset representatives of a group's class
+representatives come from the group's class tables, built once per group.
+A run makes one leaf per point: each coset representative of a level but
+the identity gets one table from labels to the leaves of their images,
+through which every subtree of the level is translated, so every translate
+but the identity's, which is the subtree itself, is built on those leaves.
 
 Uniqueness is enforced by (a) drawing subgroups from conjugacy-class
 representatives only and (b) keeping one seed union per orbit of the
@@ -42,14 +42,6 @@ from .trees import (ENUMERATION_SIZE_BOUND, AssemblyTree, _act, _node,
 LISTING_BOUND = 10 ** 6
 
 
-def _make_system(blocks) -> tuple[frozenset, ...]:
-    blocks = tuple(sorted((frozenset(b) for b in blocks), key=min))
-    total = sum(len(b) for b in blocks)
-    if len(frozenset(itertools.chain.from_iterable(blocks))) != total:
-        raise ValueError("blocks overlap")
-    return blocks
-
-
 def _system_order(system: tuple[frozenset, ...]):
     return (len(system), tuple(tuple(sorted(b)) for b in system))
 
@@ -64,15 +56,12 @@ def enumerate_block_systems(group: PermGroup) -> list[tuple[frozenset, ...]]:
     """
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
-    coset_reps = {cls.representative:
-                  group.left_coset_representatives(cls.representative)
-                  for cls in group.conjugacy_classes_of_subgroups()}
-    systems = {_make_system([range(1, group.degree + 1)])}
+    systems = {(frozenset(range(1, group.degree + 1)),)}
     for recipe in construction_recipes(group):
-        system = _make_system(
-            frozenset(rep(x) for x in seed)
-            for sub, seed in zip(recipe.subgroups, recipe.seeds)
-            for rep in coset_reps[sub])
+        system = tuple(sorted(
+            (frozenset(rep(x) for x in seed)
+             for sub, seed in zip(recipe.subgroups, recipe.seeds)
+             for rep in _translators(group, sub, seed)), key=min))
         if system in systems:
             raise RuntimeError("two construction recipes gave one block system")
         systems.add(system)
@@ -105,33 +94,23 @@ def construction_recipes(group: PermGroup) -> Iterator[FixedTreeRecipe]:
     level, already filtered by the uniqueness restrictions.  The choices run
     over the set partitions of the orbits, so more orbits than the
     enumeration bound are refused."""
-    return _recipes(group, frozenset(range(1, group.degree + 1)), {})
+    return _recipes(group, frozenset(range(1, group.degree + 1)))
 
 
-def _recipes(group: PermGroup, points: frozenset, normalizers: dict
-             ) -> Iterator[FixedTreeRecipe]:
-    """``construction_recipes`` on ``points``.  ``normalizers`` maps each
-    group to the normalizer elements of its class representatives; a
-    generation run shares one such map over all its levels, and a group's
-    entry is built the first time one of its levels is read."""
+def _recipes(group: PermGroup, points: frozenset) -> Iterator[FixedTreeRecipe]:
+    """``construction_recipes`` on ``points``."""
     orbs = tuple(group.orbits_within(points))
     if len(orbs) > ENUMERATION_SIZE_BOUND:
         raise ValueError(f"orbit count {len(orbs)} exceeds the "
                          f"enumeration bound {ENUMERATION_SIZE_BOUND}")
-    classes = group.conjugacy_classes_of_subgroups()
-    reps = [c.representative for c in classes]
-    if group not in normalizers:
-        normalizers[group] = {rep: group.normalizer(rep).elements for rep in reps}
-    normalizer_of = normalizers[group]
     for parts in set_partitions(orbs):
         per_part = []
         for part in parts:
             options = []
-            for rep in reps:
+            for rep, (normalizer, _) in group._class_tables.items():
                 if len(parts) == 1 and rep.order == group.order:
                     continue
                 korbit_lists = [rep.orbits_within(orbit) for orbit in part]
-                normalizer = normalizer_of[rep]
                 for combo in itertools.product(*korbit_lists):
                     seed = frozenset(itertools.chain.from_iterable(combo))
                     if _seed_is_canonical(seed, normalizer):
@@ -150,9 +129,17 @@ def _seed_is_canonical(seed: frozenset, normalizer_elements) -> bool:
                for n in normalizer_elements)
 
 
+def _translators(group: PermGroup, sub: PermGroup, seed: frozenset) -> list:
+    """The left coset representatives of the class representative ``sub``,
+    the identity first, checked to carry ``seed`` to disjoint translates."""
+    reps = group._class_tables[sub][1]
+    if len({rep(x) for rep in reps for x in seed}) != len(reps) * len(seed):
+        raise RuntimeError("the coset translates of a seed overlap")
+    return reps
+
+
 def _fixed_trees_on(group: PermGroup, points: frozenset, levels: dict,
-                    translates: dict, normalizers: dict, leaves: list
-                    ) -> Iterator[AssemblyTree]:
+                    translates: dict, leaves: list) -> Iterator[AssemblyTree]:
     """Every tree on ``points`` fixed by ``group``, built from the leaves
     ``leaves[x]`` and the trees the trivial group's enumeration makes.
 
@@ -163,27 +150,21 @@ def _fixed_trees_on(group: PermGroup, points: frozenset, levels: dict,
     and tree.  The first coset representative is the identity, so each
     tree is its own first translate.  The translates of one seed are
     checked disjoint once, when first built, so the vertices are built
-    unchecked.  ``normalizers`` is the run's map for ``_recipes``."""
-    if len(points) == 1:
-        yield leaves[next(iter(points))]
-        return
+    unchecked."""
     if group.order == 1:
-        # the trivial group fixes everything
+        # the trivial group fixes everything; in a simple action it is the
+        # group of every one-point level
         yield from enumerate_all_trees(points)
         return
-    for recipe in _recipes(group, points, normalizers):
+    for recipe in _recipes(group, points):
         per_part = []
         for sub, seed in zip(recipe.subgroups, recipe.seeds):
             key = (group, sub, seed)
             if key not in translates:
-                reps = group.left_coset_representatives(sub)
-                if len({rep(x) for rep in reps for x in seed}) != \
-                        len(reps) * len(seed):
-                    raise RuntimeError("the coset translates of a seed overlap")
+                reps = _translators(group, sub, seed)
                 if (sub, seed) not in levels:
                     levels[sub, seed] = list(
-                        _fixed_trees_on(sub, seed, levels, translates,
-                                        normalizers, leaves))
+                        _fixed_trees_on(sub, seed, levels, translates, leaves))
                 # one leaf table per coset representative after the
                 # identity, shared by the translates of every subtree
                 tables = [[None, *map(leaves.__getitem__, rep.images)]
@@ -212,9 +193,9 @@ def generate_fixed_trees(group: PermGroup,
     if not group.is_simple_action():
         raise ValueError("the group action is not simple")
     points = frozenset(range(1, group.degree + 1))
-    # one leaf object per point, shared by every tree of the run
+    # one leaf object per point, shared by the non-identity translates
     leaves = [None, *map(AssemblyTree.leaf, range(1, group.degree + 1))]
-    trees = _fixed_trees_on(group, points, {}, {}, {}, leaves)
+    trees = _fixed_trees_on(group, points, {}, {}, leaves)
     first = next(trees)
     count = fixed_tree_count(group, group.degree // group.order)
     if count > LISTING_BOUND:

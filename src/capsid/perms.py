@@ -140,11 +140,11 @@ class PermGroup:
     deterministic coset representatives, regular actions, and output.
 
     Instances are immutable after construction; the element index, the
-    multiplication table, the inverses, the orbits and the subgroup census
-    are computed on first read and kept.  Use :func:`close_generators` to
-    build one.  Every group is generated by its ``generators``: a subgroup
-    the package derives (census nodes, normalizers, stabilizer groups) takes
-    its own sorted elements as its generators.
+    multiplication table, the inverses, the orbits, the subgroup census and
+    its class tables are computed on first read and kept.  Use
+    :func:`close_generators` to build one.  Every group is generated by its
+    ``generators``: a subgroup the package derives (census nodes,
+    normalizers, stabilizer groups) takes its sorted elements as generators.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -295,19 +295,20 @@ class PermGroup:
         for i in range(self.order):
             cyclics.setdefault(_join_indices(table, trivial, (i,)), (i,))
         file_class(trivial)
-        worklist = [(trivial, ())]  # its joins file the cyclic classes
-        while worklist:
-            grown = []
-            for fs_a, gens_a in worklist:
-                for fs_c, gens_c in cyclics.items():
-                    if fs_c <= fs_a:
-                        continue
-                    join_gens = tuple(dict.fromkeys(gens_a + gens_c))
-                    fs_j = _join_indices(table, fs_a, join_gens)
-                    if fs_j not in known:
-                        file_class(fs_j)
-                        grown.append((fs_j, join_gens))
-            worklist = grown
+        # the worklist grows while it is read, first in first out; the
+        # trivial group's joins file the cyclic classes
+        worklist = [(trivial, ())]
+        for fs_a, gens_a in worklist:
+            for fs_c, gens_c in cyclics.items():
+                # a speed path no test can see: such a join is fs_a itself,
+                # already filed; the skip also keeps join_gens free of repeats
+                if fs_c <= fs_a:
+                    continue
+                join_gens = gens_a + gens_c
+                fs_j = _join_indices(table, fs_a, join_gens)
+                if fs_j not in known:
+                    file_class(fs_j)
+                    worklist.append((fs_j, join_gens))
         # element indices follow the image order, so (order, sorted indices)
         # is the canonical (order, element images) order
         nodes = sorted(known, key=lambda fs: (len(fs), sorted(fs)))
@@ -323,6 +324,14 @@ class PermGroup:
             filed.append(SubgroupClass(subs[rep], tuple(subs[r] for r in ranks),
                                        tuple(sorted(below.items()))))
         return subs, tuple(filed)
+
+    @cached_property
+    def _class_tables(self) -> dict:
+        """Each class representative, in census order, mapped to its
+        normalizer's elements and its left coset representatives."""
+        return {rep: (self.normalizer(rep).elements,
+                      self.left_coset_representatives(rep))
+                for rep, _, _ in self._census[1]}
 
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         """Largest subgroup of self in which ``sub`` is normal."""

@@ -164,10 +164,10 @@ def locate_image(view: TreePointerView, v: int) -> Optional[int]:
             w = None
             for c in kids:
                 child_count[c] += 1
+                # c's image has as many leaves as c, fewer than the whole
+                # tree, so it is never the root and has a parent
                 c_image = image[c - lo]
                 p = parent[c_image]
-                if p is None:
-                    return None
                 parent_count[c_image] += 1
                 if w is None:
                     w = p

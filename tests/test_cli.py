@@ -81,6 +81,10 @@ def test_enumerate_trees_argument_validation(capsys):
     code, out, err = run_cli(capsys, "enumerate-trees", "--labels", "1,1,2")
     assert (code, out) == (1, "")
     assert err == "error: repeated label in label list '1,1,2'\n"
+    # the enumerator refuses a label below 1 before any leaf is built
+    code, out, err = run_cli(capsys, "enumerate-trees", "--labels", "0,1")
+    assert (code, out) == (1, "")
+    assert err == "error: leaf labels must be positive integers\n"
 
 
 def test_series_golden(capsys):

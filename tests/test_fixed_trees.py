@@ -65,7 +65,8 @@ def test_block_systems_refuse_a_repeated_recipe(klein, monkeypatch):
         enumerate_block_systems(klein)
 
 
-def test_overlapping_coset_translates_are_refused(klein, monkeypatch):
+def test_overlapping_coset_translates_are_refused(monkeypatch):
+    # fresh groups: a shared fixture may hold class tables built already
     cosets = PermGroup.left_coset_representatives
 
     def identity_twice(group, sub):
@@ -74,7 +75,9 @@ def test_overlapping_coset_translates_are_refused(klein, monkeypatch):
 
     monkeypatch.setattr(PermGroup, "left_coset_representatives", identity_twice)
     with pytest.raises(RuntimeError, match="coset translates of a seed overlap"):
-        list(generate_fixed_trees(klein))
+        list(generate_fixed_trees(klein_group()))
+    with pytest.raises(RuntimeError, match="coset translates of a seed overlap"):
+        enumerate_block_systems(klein_group())
 
 
 def test_enumerator_refuses_a_partition_one_block_short(monkeypatch):
@@ -190,42 +193,52 @@ def test_uniqueness_filters_suffice(klein, k1, z2_on_6, s3_regular, z6, klein_on
 def test_each_level_is_built_once_per_run(name, count, monkeypatch):
     # the three copies share (subgroup, seed) levels across many recipes;
     # building each once keeps the recipe enumerations near the number of
-    # distinct levels, far below the number of recipes that use them, and
-    # each group's normalizers are taken once per run, not once per level
+    # distinct levels, far below the number of recipes that use them.  Each
+    # group object builds its class tables once, so a normalizer or a coset
+    # table is taken once per (group object, subgroup): counted by id, since
+    # equal sub-level groups are distinct objects with tables of their own
     group = replicated_action(load_group(name), 3)
     calls = 0
-    normalized: Counter = Counter()
-    recipes, normalizer = fixed_trees._recipes, PermGroup.normalizer
+    tables: Counter = Counter()
+    recipes = fixed_trees._recipes
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return recipes(*args)
 
-    def counted_normalizer(ambient, sub):
-        normalized[ambient, sub] += 1
-        return normalizer(ambient, sub)
+    def counting(attr):
+        method = getattr(PermGroup, attr)
+
+        def counted_method(ambient, sub):
+            tables[attr, id(ambient), sub] += 1
+            return method(ambient, sub)
+        return counted_method
 
     monkeypatch.setattr(fixed_trees, "_recipes", counted)
-    monkeypatch.setattr(PermGroup, "normalizer", counted_normalizer)
+    for attr in ("normalizer", "left_coset_representatives"):
+        monkeypatch.setattr(PermGroup, attr, counting(attr))
     out: list = []
     assert sum(1 for _ in generate_fixed_trees(group, diagnostics=out)) \
         == count == fixed_tree_count(group, 3)
     assert out[0].produced == out[0].distinct, out[0]
     assert 0 < calls <= 100
-    assert max(normalized.values()) == 1
+    assert max(tables.values()) == 1
+    # a second run on the same object reads the tables the first one built
     calls = 0
-    normalized.clear()
+    tables.clear()
     assert _stream_length(group) == count
     assert 0 < calls <= 100
-    assert max(normalized.values()) == 1
+    assert not tables
 
 
 @pytest.mark.parametrize("name, count", [("klein4", 4896), ("cyclic:6", 3440)])
 def test_benchmark_listings_are_fixed_and_round_trip(name, count):
-    # the trees of one run share one leaf object per point; within a tree
-    # every vertex is a distinct object, since sibling leaf sets are
-    # disjoint (the pointer view numbers vertices from a stack, not by id())
+    # every translate but the identity's is built on the run's one leaf
+    # object per point (the trivial group's enumeration makes its own
+    # leaves); within a tree every vertex is a distinct object, since
+    # sibling leaf sets are disjoint (the pointer view numbers vertices
+    # from a stack, not by id())
     group = replicated_action(load_group(name), 3)
     trees = list(generate_fixed_trees(group))
     assert len(trees) == len(set(trees)) == count

@@ -5,8 +5,9 @@ from collections import Counter
 import pytest
 
 from capsid.perms import (PermGroup, Permutation, close_generators,
-                          group_from_text, icosahedral_group, klein_group,
-                          parse_permutation, replicated_action, trivial_group)
+                          cyclic_group, group_from_text, icosahedral_group,
+                          klein_group, parse_permutation, replicated_action,
+                          trivial_group)
 from oracles import (brute_subgroups, closure_by_products, compose,
                      element_order)
 
@@ -414,3 +415,23 @@ def test_group_guards():
     # a derived group sorts its elements by image tuple, the identity first
     group = PermGroup(2, [swap], [swap, identity, swap])
     assert group.elements == (identity, swap)
+
+
+def test_argument_guards(klein):
+    # each guard reports its own argument, before any later step fails on it
+    with pytest.raises(ValueError,
+                       match=r"^images \(1, 1\) are not a bijection of 1\.\.2$"):
+        Permutation((1, 1))
+    p = Permutation((2, 1, 4, 3))
+    for point in (0, 5):
+        with pytest.raises(ValueError,
+                           match=rf"^point {point} out of range 1\.\.4$"):
+            p(point)
+    with pytest.raises(ValueError, match="^cyclic group size must be >= 1$"):
+        cyclic_group(0)
+    with pytest.raises(ValueError, match="^copies must be >= 1$"):
+        replicated_action(klein, 0)
+    with pytest.raises(ValueError, match="^degree must be >= 1$"):
+        parse_permutation("()", 0)
+    with pytest.raises(ValueError, match="^degree mismatch among generators$"):
+        close_generators([Permutation((2, 1)), Permutation((2, 1, 3))], 2)

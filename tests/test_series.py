@@ -124,9 +124,10 @@ def test_residuals_vanish_for_sample_groups(s3_regular, z6):
 
 
 def test_count_rejects_bad_input(klein):
-    with pytest.raises(ValueError):
+    # fixed_tree_count names its own argument, not the solver's order
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
         fixed_tree_count(klein, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^order must be >= 1$"):
         base_tree_series(0)
 
 
